@@ -10,11 +10,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
-from .field import QQ, FieldGF, FieldQt
+from .field import QQ, FieldGF, FieldQt, _is_prime
 from . import centralizer, diagrams, invariants, tensor_eval, ugl, yangian
 
 SCHEMA_VERSION = 1
@@ -34,13 +34,15 @@ class RunConfig:
     pairs: int = 20
     out: str | None = None
 
-    def validate(self):
+    def validate(self, suite: str):
         if self.n < 1 or self.m < 1 or not self.N or min(self.N) < 1:
             raise ValueError("bounds must be positive")
         if self.field_name not in ("Q", "Qt", "GF"):
             raise ValueError(f"unknown field {self.field_name!r}")
         if self.field_name == "GF" and not _is_prime(self.prime):
             raise ValueError("prime field modulus must be prime >= 2")
+        if self.field_name == "Qt" and suite in ("yangian", "all"):
+            raise ValueError("the yangian suite runs over Q or a prime field")
 
     def coefficient_field(self):
         if self.field_name == "Q":
@@ -48,12 +50,6 @@ class RunConfig:
         if self.field_name == "Qt":
             return FieldQt()
         return FieldGF(self.prime)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 class ResourceGuard(Exception):
@@ -145,10 +141,7 @@ def suite_ugl(cfg: RunConfig) -> list[dict]:
 
 
 def suite_yangian(cfg: RunConfig) -> list[dict]:
-    f = cfg.coefficient_field()
-    if f.name == "Q(t)":
-        raise ResourceGuard("yangian suite runs over Q or a prime field")
-    rep = yangian.pbw_report(cfg.n, cfg.m, f)
+    rep = yangian.pbw_report(cfg.n, cfg.m, cfg.coefficient_field())
     checks = [{"check": "PBW: normal-form span equals monomial count",
                "parameters": {"n": cfg.n, "m": cfg.m, "field": rep["field"]},
                "expected": rep["expected"], "got": rep["dims"],
@@ -199,7 +192,7 @@ SUITE_FNS = {
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:
-    cfg.validate()
+    cfg.validate(name)
     names = list(SUITE_FNS) if name == "all" else [name]
     for sub in names:
         guard(cfg, sub)
@@ -251,16 +244,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _well_typed(key: str, value) -> bool:
+    """Whether a config-file value has the type of its RunConfig field."""
+    if key == "N":
+        return isinstance(value, list) and all(map(_is_int, value))
+    if key == "field_name":
+        return isinstance(value, str)
+    if key == "out":
+        return value is None or isinstance(value, str)
+    return _is_int(value)
+
+
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        names = {f.name for f in fields(RunConfig)}
         for key, value in data.items():
             if key == "field":
                 key = "field_name"
-            if not hasattr(cfg, key):
+            if key not in names:
                 raise ValueError(f"unknown config key {key!r}")
+            if not _well_typed(key, value):
+                raise ValueError(f"config key {key!r} has the wrong type")
             setattr(cfg, key, value)
     overrides = {"n": args.n, "N": args.N, "m": args.m,
                  "field_name": args.field, "prime": args.prime,
@@ -275,8 +288,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        cfg.validate()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        cfg.validate(args.suite)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -13,12 +13,11 @@ is structural comparison and diagrams can key sparse linear combinations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .field import ONE_RF, RatFunc, T_RF
+from .lincomb import axpy
 from .linalg import rank_dense
 
 V = "V"
@@ -258,6 +257,9 @@ class Morphism:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Morphism):
             return NotImplemented
@@ -267,10 +269,8 @@ class Morphism:
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.source != other.source or self.target != other.target:
             raise ValueError("signature mismatch in morphism addition")
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, RatFunc.const(0)) + c
-        return Morphism(self.source, self.target, terms)
+        return Morphism(self.source, self.target,
+                        axpy(dict(self.terms), ONE_RF, other.terms))
 
     def __neg__(self) -> "Morphism":
         return self.scale(-1)
@@ -282,6 +282,8 @@ class Morphism:
         c = c if isinstance(c, RatFunc) else RatFunc.const(c)
         return Morphism(self.source, self.target,
                         {d: v * c for d, v in self.terms.items()})
+
+    __rmul__ = scale
 
     def then(self, other: "Morphism") -> "Morphism":
         """Composite self followed by other (other o self)."""
@@ -305,8 +307,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         for d2, c2 in g.terms.items():
             pairs, loops = _compose_diagrams(d1, d2)
             nd = BrauerDiagram(f.source, g.target, pairs)
-            coeff = c1 * c2 * T_RF ** loops
-            acc[nd] = acc.get(nd, RatFunc.const(0)) + coeff
+            axpy(acc, c1 * c2, {nd: T_RF ** loops})
     return Morphism(f.source, g.target, acc)
 
 
@@ -329,7 +330,7 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
             pairs = [(remap_f(a), remap_f(b)) for a, b in d1.pairs]
             pairs += [(remap_g(a), remap_g(b)) for a, b in d2.pairs]
             nd = BrauerDiagram(src, tgt, tuple(pairs))
-            acc[nd] = acc.get(nd, RatFunc.const(0)) + c1 * c2
+            axpy(acc, c1, {nd: c2})
     return Morphism(src, tgt, acc)
 
 
@@ -530,16 +531,12 @@ def atilde_mul(x: Graded, y: Graded) -> Graded:
             regroup = permute(t.target, perm)
             contract = tensor_all(identity(GL_WORD * (d1 + d2)), mw, mw)
             prod = t.then(regroup).then(contract)
-            deg = d1 + d2
-            out[deg] = out.get(deg, Morphism.zero((), prod.target)) + prod
-    return {d: m for d, m in out.items() if not m.is_zero()}
+            axpy(out, 1, {d1 + d2: prod})
+    return out
 
 
 def atilde_add(x: Graded, y: Graded) -> Graded:
-    out = dict(x)
-    for d, m in y.items():
-        out[d] = out.get(d, Morphism.zero((), m.target)) + m
-    return {d: m for d, m in out.items() if not m.is_zero()}
+    return axpy(dict(x), 1, y)
 
 
 def atilde_neg(x: Graded) -> Graded:

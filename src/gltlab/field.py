@@ -19,8 +19,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -163,9 +161,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * t0 + c
         return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -462,4 +457,3 @@ class FieldGF:
 
 
 QQ = FieldQ()
-QT = FieldQt()

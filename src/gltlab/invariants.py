@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .centralizer import BlockConvention, psi
+from .lincomb import axpy, mul_via
 from .linalg import rank_sparse
+from .ugl import commutator_terms
 
 # ---------------------------------------------------------------------------
 # Pair strings.
@@ -163,17 +165,12 @@ def all_pair_strings(m: int, n: int):
 # Symmetric algebra S(gl_M): monomials are sorted tuples of (a, b) entries.
 
 
+def _sorted_word(w: tuple) -> dict:
+    return {tuple(sorted(w)): 1}
+
+
 def sym_mul(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            key = tuple(sorted(m1 + m2))
-            nv = out.get(key, Fraction(0)) + c1 * c2
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
+    return mul_via(x, y, _sorted_word)
 
 
 SYM_ONE = {(): Fraction(1)}
@@ -277,17 +274,13 @@ def _sym_weight(mono: tuple, conv: BlockConvention) -> tuple:
 
 
 def _sym_act(a: int, b: int, mono: tuple) -> dict:
-    """Derivation action of E_ab on a monomial: E_cd -> d_bc E_ad - d_da E_cb."""
+    """Derivation action of E_ab on a monomial: E_cd -> [E_ab, E_cd]."""
     out: dict = {}
-    for pos, (c, d) in enumerate(mono):
+    for pos, x in enumerate(mono):
         rest = mono[:pos] + mono[pos + 1:]
-        if b == c:
-            key = tuple(sorted(rest + ((a, d),)))
-            out[key] = out.get(key, Fraction(0)) + 1
-        if d == a:
-            key = tuple(sorted(rest + ((c, b),)))
-            out[key] = out.get(key, Fraction(0)) - 1
-    return {k: v for k, v in out.items() if v}
+        for (g,), c in commutator_terms((a, b), x).items():
+            axpy(out, c, {tuple(sorted(rest + (g,))): 1})
+    return out
 
 
 def invariant_rank(m: int, n: int, N: int) -> int:
@@ -307,7 +300,7 @@ def invariant_rank(m: int, n: int, N: int) -> int:
                 if a == b:
                     continue  # weight-zero vectors are torus-invariant already
                 for img, c in _sym_act(a, b, mono).items():
-                    row[(a, b, img)] = c
+                    row[(a, b, img)] = Fraction(c)
         rows.append((mono, row))
     rank_of_action = rank_sparse(r for _, r in rows)
     return len(zero_wt) - rank_of_action
@@ -351,14 +344,8 @@ def leading_symbol_check(conv: BlockConvention, kmax: int) -> dict:
         for i in conv.small_block:
             for j in conv.small_block:
                 top = psi(conv, k, i, j, kmax).top_part()
-                diff = dict(top.terms)
                 chain = expand_type(ConnectedType("chain", k, i, j), conv)
-                for mono, c in chain.items():
-                    nv = diff.get(mono, Fraction(0)) - c
-                    if nv:
-                        diff[mono] = nv
-                    else:
-                        diff.pop(mono, None)
+                diff = axpy(dict(top.terms), -1, chain)
                 if diff and rank_sparse(span + [diff]) != base_rank:
                     bad.append([k, i, j])
     return {"check": "psi leading symbol is the k-chain modulo Chain(1) span",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .lincomb import axpy
+
 
 def rank_dense(rows: list[list]) -> int:
     """Rank of a dense matrix given as a list of rows (destructive copy)."""
@@ -54,15 +56,7 @@ def rank_sparse(rows: Iterable[dict]) -> int:
             # Deterministic pivot choice keeps runs reproducible.
             col = min(row, key=_colkey)
             if col in pivots:
-                f = row[col]
-                prow = pivots[col]
-                for c, v in prow.items():
-                    nv = row.get(c, None)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                axpy(row, -row[col], pivots[col])
             else:
                 pval = row[col]
                 pivots[col] = {c: v / pval for c, v in row.items()}
@@ -73,22 +67,3 @@ def rank_sparse(rows: Iterable[dict]) -> int:
 
 def _colkey(c):
     return (repr(type(c)), repr(c)) if not isinstance(c, (int, tuple, str)) else ("", c)
-
-
-def mat_mul(a: list[list], b: list[list], zero):
-    """Dense exact matrix product."""
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for s in range(k):
-            v = ai[s]
-            if not v:
-                continue
-            bs = b[s]
-            for j in range(m):
-                if bs[j]:
-                    oi[j] = oi[j] + v * bs[j]
-    return out

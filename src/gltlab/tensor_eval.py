@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .diagrams import V, VDUAL, BrauerDiagram, Morphism, compose, iter_diagrams
 from .field import PoleError, RatFunc
+from .lincomb import axpy
 from .linalg import rank_sparse
 
 MAX_N = 6
@@ -30,10 +31,6 @@ class DenseTensorMap:
     N: int
     entries: dict = field(default_factory=dict)  # (row, col) -> Fraction
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.N ** len(self.target), self.N ** len(self.source))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseTensorMap):
             return NotImplemented
@@ -45,15 +42,14 @@ class DenseTensorMap:
         """self o other (apply other first)."""
         if other.target != self.source or other.N != self.N:
             raise ValueError("shape mismatch in realized composition")
-        by_col: dict[int, list] = {}
+        by_col: dict[int, dict] = {}
         for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        out: dict = {}
+            by_col.setdefault(c, {})[r] = v
+        cols: dict[int, dict] = {}
         for (r, c), v in other.entries.items():
-            for (rr, vv) in by_col.get(r, ()):
-                key = (rr, c)
-                out[key] = out.get(key, Fraction(0)) + v * vv
-        return DenseTensorMap(other.source, self.target, self.N, _clean(out))
+            axpy(cols.setdefault(c, {}), v, by_col.get(r, {}))
+        out = {(rr, c): v for c, col in cols.items() for rr, v in col.items()}
+        return DenseTensorMap(other.source, self.target, self.N, out)
 
     def kron(self, other: "DenseTensorMap") -> "DenseTensorMap":
         """Tensor (Kronecker) product, self's factors first."""
@@ -116,10 +112,7 @@ def realize(f: Morphism, n: int) -> DenseTensorMap:
             raise PoleError(f"coefficient has a pole at t = {n}") from exc
         if not scalar:
             continue
-        rd = realize_diagram(d, n)
-        for k, v in rd.entries.items():
-            out.entries[k] = out.entries.get(k, Fraction(0)) + scalar * v
-    out.entries = _clean(out.entries)
+        axpy(out.entries, scalar, realize_diagram(d, n).entries)
     return out
 
 

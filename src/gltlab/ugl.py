@@ -4,7 +4,10 @@ Generators E[a,b] (1-based indices) are totally ordered lexicographically on
 (a, b); a PBW monomial is a nondecreasing word in that order.  Straightening
 rewrites any word to normal form by adjacent swaps,
 E[a,b] E[c,d] = E[c,d] E[a,b] + delta_bc E[a,d] - delta_da E[c,b],
-with memoization on whole words.
+in the one memoized loop `lincomb.normal_form`.  The structure constants are
+integers, so normal forms are computed and memoized over `int`, once for
+every field; the coefficient field enters only at the boundary
+(`UElement.from_word`, and products of field coefficients with integers).
 """
 
 from __future__ import annotations
@@ -14,46 +17,28 @@ import re
 from fractions import Fraction
 
 from .field import QQ
+from .lincomb import axpy, mul_via, normal_form
 
 GLGen = tuple[int, int]
 
 _memo: dict = {}
 
 
-def commutator_terms(x: GLGen, y: GLGen) -> dict[GLGen, int]:
-    """[E_x, E_y] as a dict of generators with integer coefficients."""
+def commutator_terms(x: GLGen, y: GLGen) -> dict[tuple[GLGen], int]:
+    """[E_x, E_y] as a dict of one-letter words with integer coefficients."""
     (a, b), (c, d) = x, y
-    out: dict[GLGen, int] = {}
-    if b == c:
-        out[(a, d)] = out.get((a, d), 0) + 1
+    out = {((a, d),): 1} if b == c else {}
     if d == a:
-        out[(c, b)] = out.get((c, b), 0) - 1
-    return {g: v for g, v in out.items() if v}
+        axpy(out, -1, {((c, b),): 1})
+    return out
 
 
-def straighten_word(word_: tuple[GLGen, ...], field=QQ) -> dict:
-    """Normal form of a free word as {sorted monomial: coefficient}."""
-    key = (field.name, word_)
-    hit = _memo.get(key)
-    if hit is not None:
-        return dict(hit)
-    i = next((j for j in range(len(word_) - 1) if word_[j] > word_[j + 1]), None)
-    if i is None:
-        result = {word_: field.one}
-    else:
-        x, y = word_[i], word_[i + 1]
-        swapped = word_[:i] + (y, x) + word_[i + 2:]
-        result = dict(straighten_word(swapped, field))
-        for g, c in commutator_terms(x, y).items():
-            sub = straighten_word(word_[:i] + (g,) + word_[i + 2:], field)
-            for mono, v in sub.items():
-                nv = result.get(mono, field.zero) + field.from_int(c) * v
-                if nv:
-                    result[mono] = nv
-                else:
-                    result.pop(mono, None)
-    _memo[key] = dict(result)
-    return result
+def straighten_word(word_: tuple[GLGen, ...]) -> dict:
+    """Normal form of a free word as {sorted monomial: int}.
+
+    The result is the memo's own dict: callers must not mutate it.
+    """
+    return normal_form(word_, commutator_terms, _memo)
 
 
 class UElement:
@@ -82,7 +67,8 @@ class UElement:
 
     @classmethod
     def from_word(cls, M: int, word_, field=QQ) -> "UElement":
-        return cls(M, straighten_word(tuple(word_), field), field)
+        terms = straighten_word(tuple(word_))
+        return cls(M, {m: field.from_int(c) for m, c in terms.items()}, field)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -98,14 +84,8 @@ class UElement:
 
     def __add__(self, other: "UElement") -> "UElement":
         self._compat(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            nv = terms.get(m, self.field.zero) + c
-            if nv:
-                terms[m] = nv
-            else:
-                terms.pop(m, None)
-        return UElement(self.M, terms, self.field)
+        return UElement(self.M, axpy(dict(self.terms), 1, other.terms),
+                        self.field)
 
     def __neg__(self) -> "UElement":
         return self.scale(-1)
@@ -115,24 +95,11 @@ class UElement:
 
     def __mul__(self, other: "UElement") -> "UElement":
         self._compat(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, v in straighten_word(m1 + m2, self.field).items():
-                    nv = acc.get(mono, self.field.zero) + c * v
-                    if nv:
-                        acc[mono] = nv
-                    else:
-                        acc.pop(mono, None)
-        return UElement(self.M, acc, self.field)
+        return UElement(self.M, mul_via(self.terms, other.terms,
+                                        straighten_word), self.field)
 
     def commutator(self, other: "UElement") -> "UElement":
         return self * other - other * self
-
-    def truncate_degree(self, m: int) -> "UElement":
-        return UElement(self.M, {k: v for k, v in self.terms.items()
-                                 if len(k) <= m}, self.field)
 
     def top_part(self) -> "UElement":
         d = self.degree()

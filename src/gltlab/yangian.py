@@ -9,6 +9,11 @@ with T(u) = 1 + sum_r t^{(r)} u^{-r} and (u-v)^{-1} expanded as a series in
 v/u.  Generators t^{(r)}_{ij} have degree r; the algebra is truncated at a
 total degree bound m and any operation that would need a higher degree
 fails loudly with TruncationError.
+
+The extracted relations have integer coefficients, so normal forms are
+computed over `int` by the one memoized loop `lincomb.normal_form` (one memo
+per rewriting strategy) and the coefficient field is applied at the
+boundary, in `TruncatedYangian.nf` and `nf_alt`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from fractions import Fraction
 
 from .field import QQ
+from .lincomb import axpy, mul_via, normal_form
 from .linalg import rank_sparse
 from .ugl import UElement
 
@@ -41,7 +47,7 @@ class RelationTable:
         self._expr = self._build()
 
     # Elements of the auxiliary algebra are stored as
-    #   {((i,j),(k,l)): {(pu, pv): {word: Fraction}}}
+    #   {((i,j),(k,l)): {(pu, pv): {word: int}}}
     # with words = tuples of YGen and pu, pv the powers of u and v.
 
     def _tmat(self, var: str):
@@ -51,10 +57,10 @@ class RelationTable:
             for j in range(1, n + 1):
                 series: dict = {}
                 if i == j:
-                    series[(0, 0)] = {(): Fraction(1)}
+                    series[(0, 0)] = {(): 1}
                 for r in range(1, rmax + 1):
                     pw = (-r, 0) if var == "u" else (0, -r)
-                    series[pw] = {((r, i, j),): Fraction(1)}
+                    series[pw] = {((r, i, j),): 1}
                 for k in range(1, n + 1):
                     if var == "u":
                         out[((i, j), (k, k))] = series
@@ -67,16 +73,13 @@ class RelationTable:
         out: dict = {}
         for i in range(1, n + 1):
             for k in range(1, n + 1):
-                key = ((i, i), (k, k))
-                out.setdefault(key, {}).setdefault((0, 0), {})[()] = Fraction(1)
+                out[((i, i), (k, k))] = {(0, 0): {(): 1}}
         # -(u-v)^{-1} P = -sum_h u^{-1-h} v^h P, P[(i,j),(k,l)] = d_jk d_il.
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                key = ((i, j), (j, i))
-                ser = out.setdefault(key, {})
+                ser = out.setdefault(((i, j), (j, i)), {})
                 for h in range(rmax + 1):
-                    ser.setdefault((-1 - h, h), {})[()] = \
-                        ser.get((-1 - h, h), {}).get((), Fraction(0)) - 1
+                    ser[(-1 - h, h)] = {(): -1}
         return out
 
     def _mat_mul(self, x: dict, y: dict) -> dict:
@@ -96,13 +99,8 @@ class RelationTable:
                                 continue
                             bucket = tgt.setdefault((pu, pv), {})
                             for w1, c1 in words1.items():
-                                for w2, c2 in words2.items():
-                                    w = w1 + w2
-                                    nv = bucket.get(w, Fraction(0)) + c1 * c2
-                                    if nv:
-                                        bucket[w] = nv
-                                    else:
-                                        bucket.pop(w, None)
+                                axpy(bucket, c1, {w1 + w2: c2 for w2, c2
+                                                  in words2.items()})
         return out
 
     @staticmethod
@@ -111,13 +109,7 @@ class RelationTable:
         for key, ys in y.items():
             tgt = out.setdefault(key, {})
             for pw, words in ys.items():
-                bucket = tgt.setdefault(pw, {})
-                for w, c in words.items():
-                    nv = bucket.get(w, Fraction(0)) - c
-                    if nv:
-                        bucket[w] = nv
-                    else:
-                        bucket.pop(w, None)
+                axpy(tgt.setdefault(pw, {}), -1, words)
         return out
 
     def _build(self) -> dict:
@@ -138,15 +130,8 @@ class RelationTable:
     def tail(self, a: YGen, b: YGen) -> dict:
         """Words T with a.b = b.a + T; strictly smaller total degree."""
         (r, i, j), (s, k, l) = a, b
-        rel = self.relation(r, i, j, s, k, l)
-        out = dict(rel)
-        for w, delta in (((a, b), -1), ((b, a), 1)):
-            nv = out.get(w, Fraction(0)) + delta
-            if nv:
-                out[w] = nv
-            else:
-                out.pop(w, None)
-        return {w: -c for w, c in out.items()}
+        out = axpy({}, -1, self.relation(r, i, j, s, k, l))
+        return axpy(out, 1, {(a, b): 1, (b, a): -1})
 
 
 class TruncatedYangian:
@@ -157,7 +142,7 @@ class TruncatedYangian:
         self.m = m
         self.field = field
         self.table = RelationTable(n, m)
-        self._memo: dict = {}
+        self._memos = ({}, {})  # integer normal forms, per strategy
 
     def gens(self) -> list[YGen]:
         return [(r, i, j)
@@ -167,42 +152,20 @@ class TruncatedYangian:
 
     def nf(self, w: tuple[YGen, ...]) -> dict:
         """Normal form of a free word as {sorted word: coefficient}."""
-        if word_degree(w) > self.m:
-            raise TruncationError(
-                f"word degree {word_degree(w)} exceeds truncation {self.m}")
-        return dict(self._nf(tuple(w)))
-
-    def _nf(self, w: tuple[YGen, ...], rightmost: bool = False) -> dict:
-        memo_key = (w, rightmost)
-        hit = self._memo.get(memo_key)
-        if hit is not None:
-            return hit
-        idxs = range(len(w) - 1)
-        bad = [j for j in idxs if w[j] > w[j + 1]]
-        if not bad:
-            result = {w: self.field.one}
-        else:
-            i = bad[-1] if rightmost else bad[0]
-            a, b = w[i], w[i + 1]
-            swapped = w[:i] + (b, a) + w[i + 2:]
-            result = dict(self._nf(swapped, rightmost))
-            for tw, c in self.table.tail(a, b).items():
-                sub = self._nf(w[:i] + tw + w[i + 2:], rightmost)
-                cc = self.field.from_int(c)
-                for mono, v in sub.items():
-                    nv = result.get(mono, self.field.zero) + cc * v
-                    if nv:
-                        result[mono] = nv
-                    else:
-                        result.pop(mono, None)
-        self._memo[memo_key] = result
-        return result
+        return self._field_nf(w, rightmost=False)
 
     def nf_alt(self, w: tuple[YGen, ...]) -> dict:
         """Same normal form via the rightmost-inversion strategy."""
+        return self._field_nf(w, rightmost=True)
+
+    def _field_nf(self, w, rightmost: bool) -> dict:
         if word_degree(w) > self.m:
-            raise TruncationError("degree overflow")
-        return dict(self._nf(tuple(w), rightmost=True))
+            raise TruncationError(
+                f"word degree {word_degree(w)} exceeds truncation {self.m}")
+        terms = normal_form(tuple(w), self.table.tail,
+                            self._memos[rightmost], rightmost)
+        f = self.field
+        return {mono: v for mono, c in terms.items() if (v := f.from_int(c))}
 
     # -- element constructors ------------------------------------------------
 
@@ -272,14 +235,7 @@ class YElement:
         return YElement(self.algebra, {w: v * c for w, v in self.terms.items()})
 
     def __add__(self, other: "YElement") -> "YElement":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nv = terms.get(w, self.algebra.field.zero) + c
-            if nv:
-                terms[w] = nv
-            else:
-                terms.pop(w, None)
-        return YElement(self.algebra, terms)
+        return YElement(self.algebra, axpy(dict(self.terms), 1, other.terms))
 
     def __neg__(self) -> "YElement":
         return self.scale(-1)
@@ -289,25 +245,12 @@ class YElement:
 
     def __mul__(self, other: "YElement") -> "YElement":
         alg = self.algebra
-        acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, v in alg.nf(w1 + w2).items():
-                    nv = acc.get(mono, alg.field.zero) + c * v
-                    if nv:
-                        acc[mono] = nv
-                    else:
-                        acc.pop(mono, None)
-        return YElement(alg, acc)
+        return YElement(alg, mul_via(self.terms, other.terms, alg.nf))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, YElement):
             return NotImplemented
         return self.terms == other.terms
-
-    def coeff_vector(self) -> dict:
-        return dict(self.terms)
 
     def to_text(self) -> str:
         if not self.terms:

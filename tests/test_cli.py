@@ -38,6 +38,11 @@ class TestExitCodes:
         code, _, err = run(["ugl", "--field", "GF", "--prime", "9"], capsys)
         assert code == 2 and "prime" in err
 
+    @pytest.mark.parametrize("suite", ["yangian", "all"])
+    def test_yangian_over_qt_is_two(self, suite, capsys):
+        code, out, err = run([suite, "--field", "Qt"], capsys)
+        assert code == 2 and "yangian" in err and not out
+
     def test_resource_guard_is_three(self, capsys):
         code, _, err = run(["all", "--n", "3", "--m", "9"], capsys)
         assert code == 3 and "resource guard" in err
@@ -51,6 +56,15 @@ class TestConfig:
                            capsys)
         assert code == 0
         assert json.loads(out)["config"]["m"] == 3
+
+    @pytest.mark.parametrize("data", [
+        [1], {"n": "1"}, {"N": 3}, {"n": True}, {"N": [2, True]},
+        {"field": 5}, {"out": 1}, {"validate": 1}])
+    def test_malformed_config_is_two(self, data, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(data))
+        code, out, err = run(["ugl", "--config", str(cfgfile)], capsys)
+        assert code == 2 and err.startswith("error: ") and not out
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

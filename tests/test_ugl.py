@@ -94,6 +94,40 @@ class TestPrimeFieldCoefficients:
             UElement.one(2, QQ) + UElement.one(2, FieldGF(5))
 
 
+class TestIntegerMemo:
+    """Normal forms are memoized over int; the field enters at from_word."""
+
+    # Its normal form has coefficients 1, -3, 3, -1.
+    WORD = ((1, 2), (1, 1), (1, 1), (1, 1))
+
+    def test_prime_field_is_q_reduced(self):
+        rng = random.Random(5)
+        gens = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+        words = [self.WORD] + [
+            tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
+            for _ in range(20)]
+        for p in (2, 3, 5):
+            f = FieldGF(p)
+            for w in words:
+                q = UElement.from_word(3, w)
+                want = {m: f.from_int(c) for m, c in q.terms.items()
+                        if c % p}
+                assert UElement.from_word(3, w, f).terms == want
+
+    def test_zero_residue_pruned(self):
+        f = FieldGF(3)
+        assert straighten_word(self.WORD)[((1, 1), (1, 2))] == 3
+        x = UElement.from_word(2, self.WORD, f)
+        assert set(x.terms) == {((1, 1),) * 3 + ((1, 2),), ((1, 2),)}
+
+    def test_memo_not_aliased(self):
+        want = dict(straighten_word(self.WORD))
+        x = UElement.from_word(2, self.WORD)
+        x.terms.clear()
+        assert straighten_word(self.WORD) == want
+        assert UElement.from_word(2, self.WORD).terms == want
+
+
 class TestFiltration:
     def test_counts(self):
         assert len(filtration_basis(2, 2)) == 15

@@ -59,6 +59,34 @@ class TestNormalForm:
                 deg += g[0]
             assert alg.nf(tuple(w)) == alg.nf_alt(tuple(w))
 
+    def test_prime_field_is_q_reduced(self):
+        q_alg = TruncatedYangian(2, 3)
+        for p in (2, 3, 5):
+            f = FieldGF(p)
+            alg = TruncatedYangian(2, 3, f)
+            for w in q_alg.all_words(3):
+                want = {m: f.from_int(c) for m, c in q_alg.nf(w).items()
+                        if c % p}
+                assert alg.nf(w) == want
+                assert alg.nf_alt(w) == want
+
+    def test_zero_residue_pruned(self):
+        w = ((1, 1, 2), (1, 1, 1), (1, 1, 1))
+        mid = ((1, 1, 1), (1, 1, 2))
+        assert TruncatedYangian(2, 3).nf(w)[mid] == -2
+        alg = TruncatedYangian(2, 3, FieldGF(2))
+        for terms in (alg.nf(w), alg.nf_alt(w), alg.from_word(w).terms):
+            assert mid not in terms and len(terms) == 2
+
+    def test_memo_not_aliased(self):
+        alg = TruncatedYangian(2, 3)
+        w = ((1, 1, 2), (1, 1, 1), (1, 1, 1))
+        want = dict(alg.nf(w))
+        alg.nf(w).clear()
+        alg.from_word(w).terms.clear()
+        assert alg.nf(w) == want
+        assert alg.from_word(w).terms == want
+
     def test_truncation_overflow(self):
         alg = TruncatedYangian(1, 2)
         with pytest.raises(TruncationError):
