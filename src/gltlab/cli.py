@@ -35,14 +35,16 @@ class RunConfig:
     out: str | None = None
 
     def validate(self, suite: str):
-        if self.n < 1 or self.m < 1 or not self.N or min(self.N) < 1:
-            raise ValueError("bounds must be positive")
+        if not self.N or min(self.n, self.m, self.pairs, *self.N) < 1:
+            raise ValueError("n, N, m and pairs must be positive")
         if self.field_name not in ("Q", "Qt", "GF"):
             raise ValueError(f"unknown field {self.field_name!r}")
         if self.field_name == "GF" and not _is_prime(self.prime):
             raise ValueError("prime field modulus must be prime >= 2")
         if self.field_name == "Qt" and suite in ("yangian", "all"):
             raise ValueError("the yangian suite runs over Q or a prime field")
+        if self.field_name != "Q" and suite not in ("yangian", "all"):
+            raise ValueError(f"--field is for yangian and all, not {suite}")
 
     def coefficient_field(self):
         if self.field_name == "Q":

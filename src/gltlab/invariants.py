@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .centralizer import BlockConvention, psi
-from .lincomb import axpy, mul_via
+from .lincomb import axpy, derivation, mul_via
 from .linalg import rank_sparse
 from .ugl import commutator_terms
 
@@ -275,12 +275,8 @@ def _sym_weight(mono: tuple, conv: BlockConvention) -> tuple:
 
 def _sym_act(a: int, b: int, mono: tuple) -> dict:
     """Derivation action of E_ab on a monomial: E_cd -> [E_ab, E_cd]."""
-    out: dict = {}
-    for pos, x in enumerate(mono):
-        rest = mono[:pos] + mono[pos + 1:]
-        for (g,), c in commutator_terms((a, b), x).items():
-            axpy(out, c, {tuple(sorted(rest + (g,))): 1})
-    return out
+    return derivation({mono: 1}, lambda x: commutator_terms((a, b), x),
+                      _sorted_word)
 
 
 def invariant_rank(m: int, n: int, N: int) -> int:
@@ -295,10 +291,11 @@ def invariant_rank(m: int, n: int, N: int) -> int:
     rows = []
     for mono in zero_wt:
         row: dict = {}
+        lefts, rights = {c for c, _ in mono}, {d for _, d in mono}
         for a in block:
             for b in block:
-                if a == b:
-                    continue  # weight-zero vectors are torus-invariant already
+                if a == b or (b not in lefts and a not in rights):
+                    continue  # torus-invariant, or E_ab commutes with mono
                 for img, c in _sym_act(a, b, mono).items():
                     row[(a, b, img)] = Fraction(c)
         rows.append((mono, row))

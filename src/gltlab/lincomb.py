@@ -52,3 +52,18 @@ def normal_form(w: tuple, tail, memo: dict, rightmost: bool = False) -> dict:
             axpy(out, c, normal_form(head + t + rest, tail, memo, rightmost))
     memo[w] = out
     return out
+
+
+def derivation(x: dict, d, nf) -> dict:
+    """Sum of c*e*nf(w[:i] + u + w[i+1:]) over the terms c*w of x, the
+    positions i of w and the terms e*u of d(w[i]); d runs once a letter."""
+    acc: dict = {}
+    cache: dict = {}
+    for w, c in x.items():
+        for i, g in enumerate(w):
+            dg = cache.get(g)
+            if dg is None:
+                dg = cache[g] = d(g)
+            for u, e in dg.items():
+                axpy(acc, c * e, nf(w[:i] + u + w[i + 1:]))
+    return acc

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .field import QQ
-from .lincomb import axpy, mul_via, normal_form
+from .lincomb import axpy, derivation, mul_via, normal_form
 
 GLGen = tuple[int, int]
 
@@ -99,7 +99,16 @@ class UElement:
                                         straighten_word), self.field)
 
     def commutator(self, other: "UElement") -> "UElement":
-        return self * other - other * self
+        """self*other - other*self by the Leibniz rule, letter by letter:
+        E_g in other -> [self, E_g], and E_h in self -> [E_h, E_g]."""
+        self._compat(other)
+
+        def bracket(g):
+            return derivation(self.terms, lambda h: commutator_terms(h, g),
+                              straighten_word)
+
+        return UElement(self.M, derivation(other.terms, bracket,
+                                           straighten_word), self.field)
 
     def top_part(self) -> "UElement":
         d = self.degree()

@@ -43,6 +43,24 @@ class TestExitCodes:
         code, out, err = run([suite, "--field", "Qt"], capsys)
         assert code == 2 and "yangian" in err and not out
 
+    @pytest.mark.parametrize("suite", ["brauer", "evalfunctor", "ugl",
+                                       "centralizer", "invariants"])
+    @pytest.mark.parametrize("field", [["GF", "--prime", "7"], ["Qt"]],
+                             ids=["GF", "Qt"])
+    def test_field_ignored_by_suite_is_two(self, suite, field, capsys):
+        code, out, err = run([suite, "--field", *field], capsys)
+        assert code == 2 and "--field" in err and not out
+
+    def test_yangian_accepts_prime_field(self, capsys):
+        code, out, _ = run(["yangian", "--field", "GF", "--prime", "7",
+                            "--m", "2"], capsys)
+        assert code == 0 and json.loads(out)["config"]["field_name"] == "GF"
+
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_pairs_below_one_is_two(self, pairs, capsys):
+        code, out, err = run(["evalfunctor", "--pairs", pairs], capsys)
+        assert code == 2 and "pairs" in err and not out
+
     def test_resource_guard_is_three(self, capsys):
         code, _, err = run(["all", "--n", "3", "--m", "9"], capsys)
         assert code == 3 and "resource guard" in err
@@ -107,5 +125,14 @@ class TestGolden:
         golden = ROOT / "reports" / f"golden_{suite}.json"
         path = tmp_path / "now.json"
         code, _, _ = run([suite, "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_centralizer_cap_matches_stored_report(self, tmp_path, capsys):
+        # The guard's cap config for n = 2: the commutator-heavy hot path.
+        golden = ROOT / "reports" / "golden_centralizer_cap.json"
+        path = tmp_path / "now.json"
+        code, _, _ = run(["centralizer", "--n", "2", "--m", "3", "--N", "8",
+                          "--out", str(path)], capsys)
         assert code == 0
         assert path.read_bytes() == golden.read_bytes()

@@ -61,6 +61,35 @@ class TestGelfand:
             gelfand(0, 2)
 
 
+class TestCommutator:
+    def test_defining_bracket(self):
+        e12, e21 = UElement.gen(2, 1, 2), UElement.gen(2, 2, 1)
+        want = UElement.gen(2, 1, 1) - UElement.gen(2, 2, 2)
+        assert e12.commutator(e21) == want
+
+    @pytest.mark.parametrize("field", [QQ, FieldGF(5)], ids=["Q", "GF5"])
+    def test_equals_difference_of_products(self, field):
+        rng = random.Random(11)
+        nonzero = 0
+        for M in (2, 3, 4):
+            gens = [(a, b) for a in range(1, M + 1) for b in range(1, M + 1)]
+
+            def element():
+                x = UElement.zero(M, field)
+                for _ in range(rng.randint(1, 4)):
+                    w = [rng.choice(gens) for _ in range(rng.randint(0, 3))]
+                    x = x + UElement.from_word(M, w, field).scale(
+                        rng.randint(1, 4))
+                return x
+
+            for _ in range(15):
+                x, y = element(), element()
+                got = x.commutator(y)
+                assert got == x * y - y * x
+                nonzero += not got.is_zero()
+        assert nonzero >= 10
+
+
 class TestCentralizerMembership:
     def test_block_membership(self):
         # E_11 commutes with the block {2,3} inside gl_3.
