@@ -41,10 +41,10 @@ class RunConfig:
             raise ValueError(f"unknown field {self.field_name!r}")
         if self.field_name == "GF" and not _is_prime(self.prime):
             raise ValueError("prime field modulus must be prime >= 2")
-        if self.field_name == "Qt" and suite in ("yangian", "all"):
+        if self.field_name == "Qt" and suite == "yangian":
             raise ValueError("the yangian suite runs over Q or a prime field")
-        if self.field_name != "Q" and suite not in ("yangian", "all"):
-            raise ValueError(f"--field is for yangian and all, not {suite}")
+        if self.field_name != "Q" and suite != "yangian":
+            raise ValueError(f"--field is for yangian only, not {suite}")
 
     def coefficient_field(self):
         if self.field_name == "Q":

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .centralizer import BlockConvention, psi
 from .lincomb import axpy, derivation, mul_via
@@ -273,6 +275,38 @@ def _sym_weight(mono: tuple, conv: BlockConvention) -> tuple:
     return tuple(w)
 
 
+def weight_zero_monomials(m: int, conv: BlockConvention) -> list[tuple]:
+    """The sorted degree-m monomials of torus weight 0, in lexicographic order
+    (that of combinations_with_replacement over the sorted generators).
+
+    Grows the weight letter by letter and prunes a branch once its L1 norm
+    exceeds 2 x (letters left), since one E_ab moves it by at most 2; the
+    last letter is looked up among the generators of the opposite weight.
+    """
+    if m == 0:
+        return [()]
+    gens = [(a, b) for a in range(1, conv.M + 1) for b in range(1, conv.M + 1)]
+    wts = [_sym_weight((g,), conv) for g in gens]
+    of_weight: dict = {}
+    for i, w in enumerate(wts):
+        of_weight.setdefault(w, []).append(i)
+    out: list[tuple] = []
+
+    def grow(start: int, prefix: tuple, wt: tuple, left: int):
+        if left == 1:
+            last = of_weight.get(tuple(-x for x in wt), [])
+            out.extend(prefix + (gens[i],)
+                       for i in last[bisect_left(last, start):])
+            return
+        for i in range(start, len(gens)):
+            w = tuple(map(add, wt, wts[i]))
+            if sum(map(abs, w)) <= 2 * (left - 1):
+                grow(i, prefix + (gens[i],), w, left - 1)
+
+    grow(0, (), (0,) * conv.N, m)
+    return out
+
+
 def _sym_act(a: int, b: int, mono: tuple) -> dict:
     """Derivation action of E_ab on a monomial: E_cd -> [E_ab, E_cd]."""
     return derivation({mono: 1}, lambda x: commutator_terms((a, b), x),
@@ -280,27 +314,30 @@ def _sym_act(a: int, b: int, mono: tuple) -> dict:
 
 
 def invariant_rank(m: int, n: int, N: int) -> int:
-    """dim of gl_N-block invariants in S^m(gl_M), by exact nullity of the
-    action restricted to the torus-weight-zero subspace."""
+    """dim of gl_N-block invariants in S^m(gl_M): the exact nullity over Q
+    of the simple raising operators E_{a,a+1} on the weight-zero monomials.
+
+    S^m(gl_M) is a finite-dimensional, completely reducible gl_N-module.  A
+    vector of weight 0 killed by every E_{a,a+1} is a highest-weight vector
+    of weight 0, so it generates the trivial module and is killed by every
+    E_ab (Humphreys, Intro. to Lie Algebras, sections 20-21); invariants are
+    such vectors.
+    """
     conv = BlockConvention(n, N)
-    gens = [(a, b) for a in range(1, conv.M + 1) for b in range(1, conv.M + 1)]
-    zero_wt = [mono for mono in
-               itertools.combinations_with_replacement(sorted(gens), m)
-               if not any(_sym_weight(mono, conv))]
-    block = list(conv.large_block)
+    zero_wt = weight_zero_monomials(m, conv)
+    block = conv.large_block
+    raising = list(zip(block, block[1:]))
     rows = []
     for mono in zero_wt:
         row: dict = {}
         lefts, rights = {c for c, _ in mono}, {d for _, d in mono}
-        for a in block:
-            for b in block:
-                if a == b or (b not in lefts and a not in rights):
-                    continue  # torus-invariant, or E_ab commutes with mono
-                for img, c in _sym_act(a, b, mono).items():
-                    row[(a, b, img)] = Fraction(c)
-        rows.append((mono, row))
-    rank_of_action = rank_sparse(r for _, r in rows)
-    return len(zero_wt) - rank_of_action
+        for a, b in raising:
+            if b not in lefts and a not in rights:
+                continue  # E_ab commutes with mono
+            for img, c in _sym_act(a, b, mono).items():
+                row[(a, b, img)] = Fraction(c)
+        rows.append(row)
+    return len(zero_wt) - rank_sparse(rows)
 
 
 def dim_match_check(m: int, n: int, N: int) -> dict:

@@ -44,7 +44,8 @@ def rank_dense(rows: list[list]) -> int:
 def rank_sparse(rows: Iterable[dict]) -> int:
     """Rank of a matrix given as sparse rows (dicts column -> entry).
 
-    Column keys may be any hashable, totally consistent labels. Entries of
+    Column keys must be hashable and mutually comparable (ints, or tuples
+    of them); the least key of a row is its pivot column. Entries of
     reduced rows are kept sparse, which matters for the large symmetric-power
     invariant computations.
     """
@@ -54,7 +55,7 @@ def rank_sparse(rows: Iterable[dict]) -> int:
         row = {c: v for c, v in row.items() if v}
         while row:
             # Deterministic pivot choice keeps runs reproducible.
-            col = min(row, key=_colkey)
+            col = min(row)
             if col in pivots:
                 axpy(row, -row[col], pivots[col])
             else:
@@ -63,7 +64,3 @@ def rank_sparse(rows: Iterable[dict]) -> int:
                 rank += 1
                 break
     return rank
-
-
-def _colkey(c):
-    return (repr(type(c)), repr(c)) if not isinstance(c, (int, tuple, str)) else ("", c)

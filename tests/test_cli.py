@@ -44,7 +44,7 @@ class TestExitCodes:
         assert code == 2 and "yangian" in err and not out
 
     @pytest.mark.parametrize("suite", ["brauer", "evalfunctor", "ugl",
-                                       "centralizer", "invariants"])
+                                       "centralizer", "invariants", "all"])
     @pytest.mark.parametrize("field", [["GF", "--prime", "7"], ["Qt"]],
                              ids=["GF", "Qt"])
     def test_field_ignored_by_suite_is_two(self, suite, field, capsys):
@@ -133,6 +133,15 @@ class TestGolden:
         golden = ROOT / "reports" / "golden_centralizer_cap.json"
         path = tmp_path / "now.json"
         code, _, _ = run(["centralizer", "--n", "2", "--m", "3", "--N", "8",
+                          "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_invariants_cap_matches_stored_report(self, tmp_path, capsys):
+        # The guard's cap config for n = 2: the invariant-rank hot path.
+        golden = ROOT / "reports" / "golden_invariants_cap.json"
+        path = tmp_path / "now.json"
+        code, _, _ = run(["invariants", "--n", "2", "--m", "3", "--N", "8",
                           "--out", str(path)], capsys)
         assert code == 0
         assert path.read_bytes() == golden.read_bytes()

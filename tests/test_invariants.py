@@ -1,14 +1,18 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gltlab.centralizer import BlockConvention
 from gltlab.invariants import (ConnectedType, PairString, PairSymbol,
-                               all_pair_strings, decompose, dim_graded,
-                               dim_match_check, expand_multiset, expand_type,
-                               hilbert_series, invariant_rank,
+                               _sym_act, all_pair_strings, decompose,
+                               dim_graded, dim_match_check, expand_multiset,
+                               expand_type, hilbert_series, invariant_rank,
                                leading_symbol_check, realize_string,
-                               roundtrip_check, type_multisets)
+                               roundtrip_check, type_multisets,
+                               weight_zero_monomials)
+from gltlab.linalg import rank_sparse
 
 
 def chain(k, i, j):
@@ -97,6 +101,48 @@ class TestExpansion:
         got = expand_type(chain(2, 1, 1), conv)
         assert got == {(((1, 2)), ((2, 1))): Fraction(1),
                        (((1, 3)), ((3, 1))): Fraction(1)}
+
+
+WEIGHT_ZERO_CONFIGS = [(1, 1, 3), (2, 1, 4), (3, 1, 5), (2, 2, 3), (3, 2, 4)]
+
+
+def filtered_monomials(m, conv):
+    """Every sorted degree-m monomial whose large-block row indices balance
+    its large-block column indices, i.e. of torus weight 0."""
+    gens = sorted((a, b) for a in range(1, conv.M + 1)
+                  for b in range(1, conv.M + 1))
+    big = set(conv.large_block)
+    return [mono for mono in itertools.combinations_with_replacement(gens, m)
+            if Counter(a for a, _ in mono if a in big)
+            == Counter(b for _, b in mono if b in big)]
+
+
+def nullity_of_all_operators(m, n, N):
+    """Invariant count as the nullity of every off-diagonal E_ab of gl_N on
+    the weight-zero monomials."""
+    conv = BlockConvention(n, N)
+    monos = filtered_monomials(m, conv)
+    rows = []
+    for mono in monos:
+        row = {}
+        for a, b in itertools.permutations(conv.large_block, 2):
+            for img, c in _sym_act(a, b, mono).items():
+                row[(a, b, img)] = Fraction(c)
+        rows.append(row)
+    return len(monos) - rank_sparse(rows)
+
+
+class TestWeightZero:
+    @pytest.mark.parametrize("m,n,N", WEIGHT_ZERO_CONFIGS + [
+        (2, 1, 1), (3, 2, 1), (0, 1, 3), (0, 2, 1)])
+    def test_matches_filtered_combinations(self, m, n, N):
+        conv = BlockConvention(n, N)
+        assert weight_zero_monomials(m, conv) == filtered_monomials(m, conv)
+
+    @pytest.mark.parametrize("m,n,N", WEIGHT_ZERO_CONFIGS + [
+        (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 1), (0, 1, 3)])
+    def test_raising_operators_give_full_nullity(self, m, n, N):
+        assert invariant_rank(m, n, N) == nullity_of_all_operators(m, n, N)
 
 
 class TestRankAndMatch:
