@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
-from .field import QQ, FieldGF, FieldQt, _is_prime
+from .field import QQ, T_POLY, FieldGF, _is_prime
 from . import centralizer, diagrams, invariants, tensor_eval, ugl, yangian
 
 SCHEMA_VERSION = 1
@@ -47,11 +47,7 @@ class RunConfig:
             raise ValueError(f"--field is for yangian only, not {suite}")
 
     def coefficient_field(self):
-        if self.field_name == "Q":
-            return QQ
-        if self.field_name == "Qt":
-            return FieldQt()
-        return FieldGF(self.prime)
+        return QQ if self.field_name == "Q" else FieldGF(self.prime)
 
 
 class ResourceGuard(Exception):
@@ -85,8 +81,7 @@ def suite_brauer(cfg: RunConfig) -> list[dict]:
                        "expected": math.factorial(k + l), "got": got,
                        "pass": got == math.factorial(k + l)})
     loop = diagrams.coev().then(diagrams.ev(diagrams.V))
-    from .field import T_RF
-    want = diagrams.Morphism((), (), {diagrams.BrauerDiagram((), (), ()): T_RF})
+    want = diagrams.Morphism((), (), {diagrams.BrauerDiagram((), (), ()): T_POLY})
     checks.append({"check": "ev o coev = t", "parameters": {},
                    "expected": "t", "got": repr(loop),
                    "pass": loop == want})

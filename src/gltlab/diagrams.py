@@ -1,6 +1,6 @@
 """Skeleton category of GL at interpolated dimension t.
 
-Objects are words in the letters V, V*; morphisms are Q(t)-linear
+Objects are words in the letters V, V*; morphisms are Q[t]-linear
 combinations of wall-respecting perfect matchings on the legs of the two
 words.  Composition stacks diagrams, traces the resulting paths, and
 multiplies by t for every closed loop.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .field import ONE_RF, RatFunc, T_RF
+from .field import ONE_POLY, T_POLY, Poly
 from .lincomb import axpy
 from .linalg import rank_dense
 
@@ -230,7 +230,7 @@ def _compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram):
 
 
 class Morphism:
-    """Q(t)-linear combination of diagrams with common source and target."""
+    """Q[t]-linear combination of diagrams with common source and target."""
 
     __slots__ = ("source", "target", "terms")
 
@@ -241,13 +241,13 @@ class Morphism:
         for d, c in (terms or {}).items():
             if d.source != self.source or d.target != self.target:
                 raise ValueError("diagram signature mismatch in morphism")
-            c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+            c = Poly._coerce(c)
             if c:
                 cleaned[d] = c
         self.terms = cleaned
 
     @classmethod
-    def single(cls, d: BrauerDiagram, coeff=ONE_RF) -> "Morphism":
+    def single(cls, d: BrauerDiagram, coeff=ONE_POLY) -> "Morphism":
         return cls(d.source, d.target, {d: coeff})
 
     @classmethod
@@ -270,7 +270,7 @@ class Morphism:
         if self.source != other.source or self.target != other.target:
             raise ValueError("signature mismatch in morphism addition")
         return Morphism(self.source, self.target,
-                        axpy(dict(self.terms), ONE_RF, other.terms))
+                        axpy(dict(self.terms), ONE_POLY, other.terms))
 
     def __neg__(self) -> "Morphism":
         return self.scale(-1)
@@ -279,7 +279,7 @@ class Morphism:
         return self + (-other)
 
     def scale(self, c) -> "Morphism":
-        c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+        c = Poly._coerce(c)
         return Morphism(self.source, self.target,
                         {d: v * c for d, v in self.terms.items()})
 
@@ -302,12 +302,12 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     if f.target != g.source:
         raise ValueError(
             f"signature mismatch: {word_text(f.target)} vs {word_text(g.source)}")
-    acc: dict[BrauerDiagram, RatFunc] = {}
+    acc: dict[BrauerDiagram, Poly] = {}
     for d1, c1 in f.terms.items():
         for d2, c2 in g.terms.items():
             pairs, loops = _compose_diagrams(d1, d2)
             nd = BrauerDiagram(f.source, g.target, pairs)
-            axpy(acc, c1 * c2, {nd: T_RF ** loops})
+            axpy(acc, c1 * c2, {nd: T_POLY ** loops})
     return Morphism(f.source, g.target, acc)
 
 
@@ -324,7 +324,7 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     def remap_g(leg):
         return leg + af if leg < ag else leg + af + bf
 
-    acc: dict[BrauerDiagram, RatFunc] = {}
+    acc: dict[BrauerDiagram, Poly] = {}
     for d1, c1 in f.terms.items():
         for d2, c2 in g.terms.items():
             pairs = [(remap_f(a), remap_f(b)) for a, b in d1.pairs]
@@ -388,12 +388,12 @@ def dagger(d: BrauerDiagram) -> BrauerDiagram:
                          tuple((flip(a), flip(b)) for a, b in d.pairs))
 
 
-def close_trace(m: Morphism) -> RatFunc:
+def close_trace(m: Morphism) -> Poly:
     """Full trace closure of an endomorphism: scalar sum of t^{loops}."""
     if m.source != m.target:
         raise ValueError("trace closure needs an endomorphism")
     n = len(m.source)
-    total = RatFunc.const(0)
+    total = Poly()
     for d, c in m.terms.items():
         parent = list(range(2 * n))
 
@@ -411,7 +411,7 @@ def close_trace(m: Morphism) -> RatFunc:
         for i in range(n):
             union(i, n + i)
         comps = len({find(i) for i in range(2 * n)}) if n else 0
-        total = total + c * T_RF ** comps
+        total = total + c * T_POLY ** comps
     return total
 
 
@@ -434,13 +434,29 @@ def gram_matrix(sig: Word):
     return diagrams, mat
 
 
+def _rank_at(mat, t0) -> int:
+    return rank_dense([[entry.evaluate(t0) for entry in row] for row in mat])
+
+
 def gram_rank(sig: Word, t0=None) -> int:
-    """Rank of the Gram pairing, symbolically (t0=None) or at t = t0."""
+    """Rank of the Gram pairing at t = t0, or generically (t0=None).
+
+    The generic rank r is the largest rank at the points t = 0, 1, ..., D,
+    where D = rows * (largest entry degree): no point rank exceeds r, and
+    some r-minor is a nonzero polynomial of degree at most D, so it is
+    nonzero at one of these D + 1 points (Schwartz 1980, Zippel 1979).
+    The loop stops early once the rank is full.
+    """
     _, mat = gram_matrix(sig)
-    if t0 is None:
-        return rank_dense(mat)
-    ev_mat = [[entry.evaluate(t0) for entry in row] for row in mat]
-    return rank_dense(ev_mat)
+    if t0 is not None:
+        return _rank_at(mat, t0)
+    bound = len(mat) * max((e.degree for row in mat for e in row), default=0)
+    best = 0
+    for t in range(bound + 1):
+        best = max(best, _rank_at(mat, t))
+        if best == len(mat):
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

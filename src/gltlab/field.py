@@ -7,7 +7,6 @@ values here are kept in canonical form at all times:
 * rationals are `fractions.Fraction` (always reduced, positive denominator);
 * `Poly` is a univariate polynomial in t over Q with no trailing zero
   coefficients;
-* `RatFunc` is a reduced fraction of two Polys with monic denominator;
 * `GFElem` is a residue mod a prime p, 0 <= residue < p.
 
 No floating point is used anywhere.
@@ -178,130 +177,8 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
-ZERO_POLY = Poly()
 ONE_POLY = Poly.const(1)
 T_POLY = Poly.t()
-
-
-class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated at a pole."""
-
-
-class RatFunc:
-    """Element of Q(t): reduced num/den with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE_POLY):
-        num = Poly._coerce(num)
-        den = Poly._coerce(den)
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if num.is_zero():
-            self.num, self.den = ZERO_POLY, ONE_POLY
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lc = den.leading
-        self.num = num * (1 / lc)
-        self.den = den * (1 / lc)
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RatFunc":
-        return cls(Poly.const(c))
-
-    @classmethod
-    def t(cls) -> "RatFunc":
-        return cls(T_POLY)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x)
-        if isinstance(x, Poly):
-            return RatFunc(x)
-        return NotImplemented
-
-    def __add__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int) -> "RatFunc":
-        if k < 0:
-            return RatFunc.const(1) / self ** (-k)
-        return RatFunc(self.num ** k, self.den ** k)
-
-    def evaluate(self, t0: Scalar) -> Fraction:
-        t0 = _as_fraction(t0)
-        d = self.den.evaluate(t0)
-        if d == 0:
-            raise PoleError(f"pole at t = {t0}")
-        return self.num.evaluate(t0) / d
-
-    def __repr__(self) -> str:
-        if self.den == ONE_POLY:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-ZERO_RF = RatFunc(ZERO_POLY)
-ONE_RF = RatFunc(ONE_POLY)
-T_RF = RatFunc(T_POLY)
-
-
-def normalize(num: Poly, den: Poly) -> RatFunc:
-    """Canonical form of num/den; raises ZeroDivisionError on a zero den."""
-    return RatFunc(num, den)
 
 
 def interpolate(points: Sequence[tuple[Scalar, Scalar]], degree_bound: int) -> Poly:
@@ -416,19 +293,6 @@ class FieldQ:
     @staticmethod
     def from_int(k) -> Fraction:
         return Fraction(k)
-
-
-class FieldQt:
-    """Coefficient field adapter for Q(t)."""
-
-    name = "Q(t)"
-
-    zero = ZERO_RF
-    one = ONE_RF
-
-    @staticmethod
-    def from_int(k) -> RatFunc:
-        return RatFunc.const(k)
 
 
 class FieldGF:

@@ -1,8 +1,8 @@
 """Exact Gaussian elimination over any of the coefficient fields.
 
-Works generically with Fraction, RatFunc and GFElem entries: all that is
-required of an entry is field arithmetic via operators and truthiness for a
-zero test.
+Works generically with Fraction and GFElem entries: all that is required
+of an entry is field arithmetic via operators and truthiness for a zero
+test.
 """
 
 from __future__ import annotations

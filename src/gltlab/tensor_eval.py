@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import V, VDUAL, BrauerDiagram, Morphism, compose, iter_diagrams
-from .field import PoleError, RatFunc
 from .lincomb import axpy
 from .linalg import rank_sparse
 
-MAX_N = 6
 MAX_LEGS = 8
 
 
@@ -106,10 +104,7 @@ def realize(f: Morphism, n: int) -> DenseTensorMap:
         raise ValueError("N must be >= 1")
     out = DenseTensorMap(f.source, f.target, n, {})
     for d, c in f.terms.items():
-        try:
-            scalar = c.evaluate(Fraction(n))
-        except PoleError as exc:
-            raise PoleError(f"coefficient has a pole at t = {n}") from exc
+        scalar = c.evaluate(n)
         if not scalar:
             continue
         axpy(out.entries, scalar, realize_diagram(d, n).entries)
@@ -131,8 +126,7 @@ def random_morphism(rng, source, target, max_terms: int = 2) -> Morphism:
     terms = {}
     for d in rng.sample(pool, min(len(pool), rng.randint(1, max_terms))):
         terms[d] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return Morphism(source, target, {d: RatFunc.const(c)
-                                     for d, c in terms.items()})
+    return Morphism(source, target, terms)
 
 
 def random_composable_pair(rng, max_word: int = 3):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,11 +10,16 @@ from gltlab.diagrams import (GL_WORD, V, VDUAL, BrauerDiagram, Morphism,
                              identity, iter_diagrams, lie_structure_check,
                              loop_count_pathtrace, multiplication, permute,
                              rtt_degree1_check, tensor, word, word_text)
-from gltlab.field import ONE_RF, RatFunc, T_RF
+from gltlab.field import T_POLY
+from gltlab.tensor_eval import faithfulness_rank
 
 
 def sig(k, l):
     return (V,) * k + (VDUAL,) * l
+
+
+SHORT_WORDS = [w for n in range(1, 4)
+               for w in itertools.product((V, VDUAL), repeat=n)]
 
 
 class TestWords:
@@ -76,7 +82,7 @@ class TestComposition:
     def test_ev_coev_loop_is_t(self):
         loop = coev(V).then(ev(V))
         unit = BrauerDiagram((), (), ())
-        assert loop == Morphism((), (), {unit: T_RF})
+        assert loop == Morphism((), (), {unit: T_POLY})
 
     def test_snake_identity(self):
         left = tensor(coev(V), identity((V,)))
@@ -85,21 +91,21 @@ class TestComposition:
 
     def test_jones_projection_relation(self):
         e = ev(V).then(coev(V))
-        assert e.then(e) == e.scale(T_RF)
+        assert e.then(e) == e.scale(T_POLY)
 
     def test_crossing_squares_to_identity(self):
         p = crossing(GL_WORD, GL_WORD)
         assert p.then(p) == identity(GL_WORD + GL_WORD)
 
     def test_trace_of_identity(self):
-        assert close_trace(identity(sig(1, 1))) == T_RF ** 2
+        assert close_trace(identity(sig(1, 1))) == T_POLY ** 2
 
     def test_loop_counters_agree(self):
         for d in iter_diagrams(sig(2, 2), sig(2, 2)):
             mirrored = compose(Morphism.single(d), Morphism.single(dagger(d)))
             (only,) = mirrored.terms
             scalar = mirrored.terms[only]
-            assert scalar == T_RF ** loop_count_pathtrace(d)
+            assert scalar == T_POLY ** loop_count_pathtrace(d)
 
 
 class TestGram:
@@ -114,6 +120,26 @@ class TestGram:
     def test_end_22_full_rank(self):
         assert gram_rank(sig(2, 2)) == 24
         assert gram_rank(sig(2, 2), Fraction(7, 2)) == 24
+
+
+class TestGramCrossCheck:
+    """Two routes to one number: at t = N the Gram rank is the rank of the
+    realization on Q^N, whose kernel is the negligible ideal."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("w", SHORT_WORDS + [word("VVV*V*")],
+                             ids=word_text)
+    def test_point_rank_is_realization_rank(self, w, n):
+        assert gram_rank(w, n) == faithfulness_rank(w, n)
+
+    def test_end_22_point_ranks(self):
+        # Permutations of S_4 with no decreasing subsequence longer than N
+        # (RSK): 1, 14 (Catalan), 23.
+        assert [gram_rank(word("VVV*V*"), n) for n in (1, 2, 3)] == [1, 14, 23]
+
+    @pytest.mark.parametrize("w", SHORT_WORDS, ids=word_text)
+    def test_generic_rank_is_factorial(self, w):
+        assert gram_rank(w) == math.factorial(len(w))
 
 
 class TestLieStructure:

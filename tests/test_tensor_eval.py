@@ -6,7 +6,6 @@ import pytest
 
 from gltlab.diagrams import (V, VDUAL, BrauerDiagram, Morphism, compose, coev,
                              ev, identity, tensor)
-from gltlab.field import PoleError, RatFunc, T_POLY
 from gltlab.tensor_eval import (MAX_LEGS, faithfulness_rank,
                                 functoriality_check, functoriality_suite,
                                 random_composable_pair, realize,
@@ -31,11 +30,6 @@ class TestRealization:
         e = ev(V).then(coev(V))
         re = realize(e, 2)
         assert re.matmul(re) == realize(e.scale(2), 2)
-
-    def test_pole_rejected(self):
-        bad = identity((V,)).scale(RatFunc(1, T_POLY - 2))
-        with pytest.raises(PoleError):
-            realize(bad, 2)
 
     def test_leg_cap(self):
         d = BrauerDiagram(sig(3, 2), sig(3, 2),
