@@ -2,9 +2,9 @@
 
 With M = N + n, the small gl_n block sits at indices 1..n and the large
 gl_N block at n+1..M.  The map psi sends t^{(r)}_{ij} (i, j <= n) to the
-u^{-r} coefficient of entry (i, j) of
+u^{-r} coefficient of entry (i, j) of the series inverse of
 
-    (1 + E u^{-1}) |_{u -> -u}  then  u -> u + M  then  series inverse,
+    S(u) = (1 + E u^{-1}) |_{u -> -u}  then  u -> u + M  = 1 - E (u + M)^{-1},
 
 where E is the M x M matrix of generators E_{ab}.  The sign/offset
 convention was fixed by a scan: membership in the gl_N centralizer and the
@@ -13,21 +13,32 @@ only the negate-first composition gives psi(t^{(1)}_{ij}) = E_ij and
 positive chain leading symbols at every level; the shift constant is taken
 to be M.  The map zed sends x_k to the Gelfand invariant tr(E^k), and
 phi = psi (x) zed.
+
+psi in closed form.  (u + M)^{-1} is a scalar, so S(u)^{-1} = 1 +
+sum_{p >= 1} E^p (u + M)^{-p}, and (u + M)^{-p} = sum_{r >= p} C(r-1, p-1)
+(-M)^{r-p} u^{-r} gives
+
+    psi(t^{(r)}_{ij}) = sum_{p=1..r} C(r-1, p-1) (-M)^{r-p} (E^p)_{ij}.
+
+Only the n small-block rows of the powers of E are read, and no truncation
+order enters.  `psi_series` builds those rows over int, one power at a time
+by (E^p)_{ib} = sum_s (E^{p-1})_{is} E_{sb}, then maps into the field.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import QQ, interpolate
-from .lincomb import derivation
+from .lincomb import axpy, derivation, mul_via
 from .linalg import rank_sparse
-from .ugl import (UElement, centralizer_membership, commutator_terms,
-                  gelfand, straighten_word)
-from .yangian import MatrixSeries, RelationTable, TruncatedYangian, YGen
+from .ugl import (UElement, ad, centralizer_membership, gelfand,
+                  lie_generators, straighten_word)
+from .yangian import RelationTable, TruncatedYangian, YGen
 
 
 @dataclass(frozen=True)
@@ -54,38 +65,49 @@ class BlockConvention:
         return range(self.n + 1, self.M + 1)
 
 
+# (n, N, field name) -> (powers, images), grown on demand by psi_series:
+# powers[p][i - 1] is row i of E^p as {column: {word: int}}.
 _series_cache: dict = {}
 
 
-def generator_matrix_series(M: int, order: int, field=QQ) -> MatrixSeries:
-    """1 + E u^{-1} with E the matrix of U(gl_M) generators."""
-    s = MatrixSeries.identity(M, order, UElement.one(M, field),
-                              UElement.zero(M, field))
-    for a in range(1, M + 1):
-        for b in range(1, M + 1):
-            s.set_entry(1, a, b, UElement.gen(M, a, b, field))
-    return s
+def psi_series(conv: BlockConvention, r: int, field=QQ) -> list:
+    """The psi images through level r: out[r - 1][i - 1][j - 1] is
+    psi(t^{(r)}_{ij}), read from the cached table of conv and field."""
+    M = conv.M
+    powers, images = _series_cache.setdefault(
+        (conv.n, conv.N, field.name),
+        ([[{i: {(): 1}} for i in conv.small_block]], []))
+    while len(images) < r:
+        rows = []
+        for row in powers[-1]:
+            nxt: dict = {}
+            for s, x in row.items():
+                for b in range(1, M + 1):
+                    axpy(nxt.setdefault(b, {}), 1,
+                         mul_via(x, {((s, b),): 1}, straighten_word))
+            rows.append({b: v for b, v in nxt.items() if v})
+        powers.append(rows)
+        level = len(powers) - 1
+        images.append([[UElement.from_ints(M, _level(powers, level, M, i, j),
+                                           field)
+                        for j in conv.small_block] for i in conv.small_block])
+    return images
 
 
-def psi_series(conv: BlockConvention, order: int, field=QQ) -> MatrixSeries:
-    key = (conv.n, conv.N, order, field.name)
-    hit = _series_cache.get(key)
-    if hit is None:
-        t = generator_matrix_series(conv.M, order, field)
-        hit = t.negate_u().shift(Fraction(conv.M)).invert()
-        _series_cache[key] = hit
-    return hit
+def _level(powers, r: int, M: int, i: int, j: int) -> dict:
+    """psi(t^{(r)}_{ij}) over int: sum_p C(r-1, p-1) (-M)^(r-p) (E^p)_{ij}."""
+    acc: dict = {}
+    for p in range(1, r + 1):
+        axpy(acc, math.comb(r - 1, p - 1) * (-M) ** (r - p),
+             powers[p][i - 1].get(j, {}))
+    return acc
 
 
-def psi(conv: BlockConvention, r: int, i: int, j: int, order: int | None = None,
-        field=QQ) -> UElement:
+def psi(conv: BlockConvention, r: int, i: int, j: int, field=QQ) -> UElement:
     """Image of t^{(r)}_{ij} in U(gl_M); filtration degree <= r."""
-    if not (1 <= i <= conv.n and 1 <= j <= conv.n):
-        raise ValueError("psi indices must lie in the small block")
-    order = r if order is None else order
-    if r > order:
-        raise ValueError(f"level {r} exceeds series order {order}")
-    return psi_series(conv, order, field).entry(r, i, j)
+    if r < 1 or not (1 <= i <= conv.n and 1 <= j <= conv.n):
+        raise ValueError("psi needs r >= 1 and indices in the small block")
+    return psi_series(conv, r, field)[r - 1][i - 1][j - 1]
 
 
 def zed(k: int, conv: BlockConvention, field=QQ) -> UElement:
@@ -93,16 +115,14 @@ def zed(k: int, conv: BlockConvention, field=QQ) -> UElement:
     return gelfand(k, conv.M, field)
 
 
-def phi(conv: BlockConvention, ygens, xks, order: int | None = None,
-        field=QQ) -> UElement:
+def phi(conv: BlockConvention, ygens, xks, field=QQ) -> UElement:
     """Image of a product of t^{(r)}_{ij} generators and x_k generators."""
     ygens = tuple(ygens)
     xks = tuple(xks)
     deg = sum(g[0] for g in ygens) + sum(xks)
-    order = max(order or 0, max((g[0] for g in ygens), default=0))
     acc = UElement.one(conv.M, field)
     for (r, i, j) in ygens:
-        acc = acc * psi(conv, r, i, j, order, field)
+        acc = acc * psi(conv, r, i, j, field)
     for k in xks:
         acc = acc * zed(k, conv, field)
     if acc.degree() > deg:
@@ -125,7 +145,7 @@ def membership_check(conv: BlockConvention, rmax: int) -> dict:
     for r in range(1, rmax + 1):
         for i in conv.small_block:
             for j in conv.small_block:
-                if not centralizer_membership(psi(conv, r, i, j, rmax), block):
+                if not centralizer_membership(psi(conv, r, i, j), block):
                     bad.append([r, i, j])
     return _report("psi images lie in the gl_N centralizer",
                    {"n": conv.n, "N": conv.N, "rmax": rmax},
@@ -142,10 +162,7 @@ def homomorphism_check(conv: BlockConvention, m: int) -> dict:
                 rel = table.relation(r, i, j, s, k, l)
                 acc = UElement.zero(conv.M)
                 for w, c in rel.items():
-                    p = UElement.one(conv.M)
-                    for (rr, ii, jj) in w:
-                        p = p * psi(conv, rr, ii, jj, m)
-                    acc = acc + p.scale(c)
+                    acc = acc + phi(conv, w, ()).scale(c)
                 if not acc.is_zero():
                     bad.append([r, i, j, s, k, l])
     return _report("psi preserves Yangian relations",
@@ -153,14 +170,13 @@ def homomorphism_check(conv: BlockConvention, m: int) -> dict:
 
 
 def zed_central_check(conv: BlockConvention, kmax: int) -> dict:
-    """zed images are central in U(gl_M)."""
+    """zed images are central in U(gl_M), tested on the `lie_generators`
+    of gl_M; a failure lists [k, a, b] for generators E_ab of that set."""
     bad = []
     for k in range(1, kmax + 1):
         z = zed(k, conv)
-        for a in range(1, conv.M + 1):
-            for b in range(1, conv.M + 1):
-                if not z.commutator(UElement.gen(conv.M, a, b)).is_zero():
-                    bad.append([k, a, b])
+        bad += [[k, a, b] for a, b in lie_generators(range(1, conv.M + 1))
+                if ad(z.terms, (a, b))]
     return _report("zed images are central",
                    {"n": conv.n, "N": conv.N, "kmax": kmax}, [], bad)
 
@@ -171,17 +187,11 @@ def zed_commutes_psi_check(conv: BlockConvention, kmax: int, rmax: int) -> dict:
     once per k for all psi images."""
     bad = []
     for k in range(1, kmax + 1):
-        z = zed(k, conv)
-
-        @functools.cache
-        def bracket(g):
-            return derivation(z.terms, lambda h: commutator_terms(h, g),
-                              straighten_word)
-
+        bracket = functools.cache(functools.partial(ad, zed(k, conv).terms))
         for r in range(1, rmax + 1):
             for i in conv.small_block:
                 for j in conv.small_block:
-                    if derivation(psi(conv, r, i, j, rmax).terms, bracket,
+                    if derivation(psi(conv, r, i, j).terms, bracket,
                                   straighten_word):
                         bad.append([k, r, i, j])
     return _report("zed commutes with psi images",
@@ -222,7 +232,7 @@ def filtered_basis(n: int, m: int) -> list[tuple[tuple[YGen, ...], tuple[int, ..
 def injectivity_rank(m: int, conv: BlockConvention) -> tuple[int, int]:
     """(rank of phi on F^m(Y_n (x) A_0), dim of that filtration space)."""
     basis = filtered_basis(conv.n, m)
-    rows = [phi(conv, ymono, xmono, order=m).terms for ymono, xmono in basis]
+    rows = [phi(conv, ymono, xmono).terms for ymono, xmono in basis]
     return rank_sparse(rows), len(basis)
 
 

@@ -85,8 +85,9 @@ def suite_brauer(cfg: RunConfig) -> list[dict]:
     checks.append({"check": "ev o coev = t", "parameters": {},
                    "expected": "t", "got": repr(loop),
                    "pass": loop == want})
-    r_sym = diagrams.gram_rank(diagrams.word("VVV*V*"))
-    r_point = diagrams.gram_rank(diagrams.word("VVV*V*"), Fraction(7, 2))
+    _, gram = diagrams.gram_matrix(diagrams.word("VVV*V*"))
+    r_sym = diagrams.poly_matrix_rank(gram)
+    r_point = diagrams.poly_matrix_rank(gram, Fraction(7, 2))
     checks.append({"check": "Gram rank of End(VVV*V*)",
                    "parameters": {"t0": ["generic", "7/2"]},
                    "expected": [24, 24], "got": [r_sym, r_point],

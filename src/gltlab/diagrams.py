@@ -439,7 +439,12 @@ def _rank_at(mat, t0) -> int:
 
 
 def gram_rank(sig: Word, t0=None) -> int:
-    """Rank of the Gram pairing at t = t0, or generically (t0=None).
+    """Rank of the Gram pairing of sig at t = t0, or generically (t0=None)."""
+    return poly_matrix_rank(gram_matrix(sig)[1], t0)
+
+
+def poly_matrix_rank(mat, t0=None) -> int:
+    """Rank of a matrix over Q[t] at t = t0, or generically (t0=None).
 
     The generic rank r is the largest rank at the points t = 0, 1, ..., D,
     where D = rows * (largest entry degree): no point rank exceeds r, and
@@ -447,7 +452,6 @@ def gram_rank(sig: Word, t0=None) -> int:
     nonzero at one of these D + 1 points (Schwartz 1980, Zippel 1979).
     The loop stops early once the rank is full.
     """
-    _, mat = gram_matrix(sig)
     if t0 is not None:
         return _rank_at(mat, t0)
     bound = len(mat) * max((e.degree for row in mat for e in row), default=0)

@@ -377,7 +377,7 @@ def leading_symbol_check(conv: BlockConvention, kmax: int) -> dict:
         base_rank = rank_sparse(span)
         for i in conv.small_block:
             for j in conv.small_block:
-                top = psi(conv, k, i, j, kmax).top_part()
+                top = psi(conv, k, i, j).top_part()
                 chain = expand_type(ConnectedType("chain", k, i, j), conv)
                 diff = axpy(dict(top.terms), -1, chain)
                 if diff and rank_sparse(span + [diff]) != base_rank:

@@ -41,6 +41,12 @@ def straighten_word(word_: tuple[GLGen, ...]) -> dict:
     return normal_form(word_, commutator_terms, _memo)
 
 
+def ad(x: dict, g: GLGen) -> dict:
+    """[x, E_g] in normal form, for a combination x of sorted words, by the
+    Leibniz rule over the letters of x."""
+    return derivation(x, lambda h: commutator_terms(h, g), straighten_word)
+
+
 class UElement:
     """Element of U(gl_M) in PBW normal form."""
 
@@ -66,9 +72,13 @@ class UElement:
         return cls(M, {((a, b),): field.one}, field)
 
     @classmethod
-    def from_word(cls, M: int, word_, field=QQ) -> "UElement":
-        terms = straighten_word(tuple(word_))
+    def from_ints(cls, M: int, terms: dict, field=QQ) -> "UElement":
+        """The element with integer coefficients terms, mapped into field."""
         return cls(M, {m: field.from_int(c) for m, c in terms.items()}, field)
+
+    @classmethod
+    def from_word(cls, M: int, word_, field=QQ) -> "UElement":
+        return cls.from_ints(M, straighten_word(tuple(word_)), field)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -102,13 +112,9 @@ class UElement:
         """self*other - other*self by the Leibniz rule, letter by letter:
         E_g in other -> [self, E_g], and E_h in self -> [E_h, E_g]."""
         self._compat(other)
-
-        def bracket(g):
-            return derivation(self.terms, lambda h: commutator_terms(h, g),
-                              straighten_word)
-
-        return UElement(self.M, derivation(other.terms, bracket,
-                                           straighten_word), self.field)
+        return UElement(self.M, derivation(
+            other.terms, lambda g: ad(self.terms, g), straighten_word),
+            self.field)
 
     def top_part(self) -> "UElement":
         d = self.degree()
@@ -167,20 +173,30 @@ def gelfand(k: int, M: int, field=QQ) -> UElement:
     """Central element tr(E^k): sum of E[a1,a2] E[a2,a3] ... E[ak,a1]."""
     if k < 1:
         raise ValueError("gelfand degree must be >= 1")
-    acc = UElement.zero(M, field)
+    acc: dict = {}
     for idx in itertools.product(range(1, M + 1), repeat=k):
-        word_ = tuple((idx[i], idx[(i + 1) % k]) for i in range(k))
-        acc = acc + UElement.from_word(M, word_, field)
-    return acc
+        axpy(acc, 1, straighten_word(
+            tuple((idx[i], idx[(i + 1) % k]) for i in range(k))))
+    return UElement.from_ints(M, acc, field)
+
+
+def lie_generators(block) -> list[GLGen]:
+    """E[a,b] and E[b,a] for adjacent a, b of the index block, and E[c,c]
+    for its first index c.  They generate gl of the block as a Lie algebra:
+    brackets give every E[a,b] with a != b and every E[a,a] - E[b,b].  The
+    elements commuting with a fixed x form a Lie subalgebra (Jacobi), so x
+    commutes with gl of the block iff it commutes with these.  E[c,c] is
+    needed, as the block's trace is not central in U(gl_M): the block [2]
+    has no adjacent pairs, and E[1,2] does not commute with E[2,2]."""
+    block = list(block)
+    pairs = [g for a, b in zip(block, block[1:]) for g in ((a, b), (b, a))]
+    return pairs + [(c, c) for c in block[:1]]
 
 
 def centralizer_membership(x: UElement, block) -> bool:
-    """True iff x commutes with every E[a,b] for a, b in the index block."""
-    for a in block:
-        for b in block:
-            if not x.commutator(UElement.gen(x.M, a, b, x.field)).is_zero():
-                return False
-    return True
+    """True iff x commutes with every E[a,b] for a, b in the index block,
+    tested on the `lie_generators` of the block."""
+    return not any(ad(x.terms, g) for g in lie_generators(block))
 
 
 def filtration_basis(m: int, M: int) -> list[tuple[GLGen, ...]]:

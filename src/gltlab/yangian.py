@@ -300,13 +300,8 @@ class MatrixSeries:
 
     def is_unital(self) -> bool:
         c0 = self.coeffs[0]
-        for i in range(self.n):
-            for j in range(self.n):
-                want_one = i == j
-                d = c0[i][j] - self.one if want_one else c0[i][j]
-                if not d.is_zero():
-                    return False
-        return True
+        return all((c0[i][j] - self.one if i == j else c0[i][j]).is_zero()
+                   for i in range(self.n) for j in range(self.n))
 
     def entry(self, k: int, i: int, j: int):
         return self.coeffs[k][i - 1][j - 1]
@@ -335,20 +330,16 @@ class MatrixSeries:
         return out
 
     def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        out = self.copy()
-        for k, mat in other.coeffs.items():
-            for i in range(self.n):
-                for j in range(self.n):
-                    out.coeffs[k][i][j] = out.coeffs[k][i][j] + mat[i][j]
-        return out
+        return self._entrywise(other, lambda x, y: x + y)
 
     def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
-        out = self.copy()
-        for k, mat in other.coeffs.items():
-            for i in range(self.n):
-                for j in range(self.n):
-                    out.coeffs[k][i][j] = out.coeffs[k][i][j] - mat[i][j]
-        return out
+        return self._entrywise(other, lambda x, y: x - y)
+
+    def _entrywise(self, other: "MatrixSeries", op) -> "MatrixSeries":
+        return MatrixSeries(self.n, self.order, self.one, self.zero, {
+            k: [[op(x, y) for x, y in zip(r1, r2)]
+                for r1, r2 in zip(mat, other.coeffs[k])]
+            for k, mat in self.coeffs.items()})
 
     def shift(self, s) -> "MatrixSeries":
         """Substitute u -> u + s and re-expand in powers of u^{-1}."""
@@ -356,9 +347,7 @@ class MatrixSeries:
         out = MatrixSeries(self.n, self.order, self.one, self.zero)
         for j, mat in self.coeffs.items():
             if j == 0:
-                for a in range(self.n):
-                    for b in range(self.n):
-                        out.coeffs[0][a][b] = out.coeffs[0][a][b] + mat[a][b]
+                out.coeffs[0] = [row[:] for row in mat]
                 continue
             for k in range(j, self.order + 1):
                 c = Fraction((-1) ** (k - j) * math.comb(k - 1, k - j)) * s ** (k - j)
@@ -373,11 +362,8 @@ class MatrixSeries:
 
     def negate_u(self) -> "MatrixSeries":
         out = self.copy()
-        for k, mat in out.coeffs.items():
-            if k % 2:
-                for a in range(self.n):
-                    for b in range(self.n):
-                        out.coeffs[k][a][b] = -mat[a][b]
+        for k in range(1, self.order + 1, 2):
+            out.coeffs[k] = [[-x for x in row] for row in out.coeffs[k]]
         return out
 
     def invert(self) -> "MatrixSeries":

@@ -10,6 +10,18 @@ from gltlab.centralizer import (BlockConvention, a0_monomials,
                                 zed_central_check, zed_commutes_psi_check,
                                 zed2_linear_coefficient)
 from gltlab.ugl import UElement
+from gltlab.yangian import MatrixSeries
+
+
+def inverted_generator_series(conv: BlockConvention, order: int):
+    """The defining route to psi: (1 + E u^{-1}) with u -> -u, then
+    u -> u + M, inverted as a full M x M series."""
+    M = conv.M
+    s = MatrixSeries.identity(M, order, UElement.one(M), UElement.zero(M))
+    for a in range(1, M + 1):
+        for b in range(1, M + 1):
+            s.set_entry(1, a, b, UElement.gen(M, a, b))
+    return s.negate_u().shift(Fraction(M)).invert()
 
 
 class TestConvention:
@@ -34,11 +46,23 @@ class TestPsi:
     def test_filtration_degree(self):
         conv = BlockConvention(1, 2)
         for r in (1, 2, 3):
-            assert psi(conv, r, 1, 1, order=3).degree() <= r
+            assert psi(conv, r, 1, 1).degree() <= r
 
     def test_indices_restricted_to_small_block(self):
         with pytest.raises(ValueError):
             psi(BlockConvention(1, 2), 1, 1, 2)
+        with pytest.raises(ValueError):
+            psi(BlockConvention(1, 2), 0, 1, 1)
+
+    @pytest.mark.parametrize("n,N,order",
+                             [(1, 2, 3), (1, 3, 4), (2, 2, 3), (2, 3, 2)])
+    def test_closed_form_equals_series_inverse(self, n, N, order):
+        conv = BlockConvention(n, N)
+        series = inverted_generator_series(conv, order)
+        for r in range(1, order + 1):
+            for i in conv.small_block:
+                for j in conv.small_block:
+                    assert psi(conv, r, i, j) == series.entry(r, i, j)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_membership(self, N):
@@ -76,7 +100,7 @@ class TestPhi:
         conv = BlockConvention(1, 2)
         block = list(conv.large_block)
         for ymono, xmono in filtered_basis(1, 2):
-            img = phi(conv, ymono, xmono, order=2)
+            img = phi(conv, ymono, xmono)
             for a in block:
                 for b in block:
                     e = UElement.gen(conv.M, a, b)

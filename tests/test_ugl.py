@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from gltlab.field import QQ, FieldGF
 from gltlab.ugl import (UElement, centralizer_membership, filtration_basis,
-                        gelfand, straighten, straighten_word)
+                        gelfand, lie_generators, straighten,
+                        straighten_word)
 
 
 class TestStraightening:
@@ -60,6 +62,17 @@ class TestGelfand:
         with pytest.raises(ValueError):
             gelfand(0, 2)
 
+    @pytest.mark.parametrize("field", [QQ, FieldGF(5)])
+    def test_equals_naive_sum(self, field):
+        for m_size in (2, 3, 4):
+            for k in (1, 2, 3):
+                naive = UElement.zero(m_size, field)
+                for idx in itertools.product(range(1, m_size + 1), repeat=k):
+                    naive = naive + UElement.from_word(
+                        m_size, [(idx[i], idx[(i + 1) % k]) for i in range(k)],
+                        field)
+                assert gelfand(k, m_size, field) == naive
+
 
 class TestCommutator:
     def test_defining_bracket(self):
@@ -95,6 +108,22 @@ class TestCentralizerMembership:
         # E_11 commutes with the block {2,3} inside gl_3.
         assert centralizer_membership(UElement.gen(3, 1, 1), [2, 3])
         assert not centralizer_membership(UElement.gen(3, 1, 2), [2, 3])
+
+    def test_one_index_block_needs_the_diagonal(self):
+        # The block [2] has no adjacent pairs; only E_22 catches E_12.
+        assert not centralizer_membership(UElement.gen(2, 1, 2), [2])
+
+    def test_generating_set_agrees_with_every_generator(self):
+        elems = [UElement.gen(4, a, b) for a in range(1, 5)
+                 for b in range(1, 5)]
+        elems += [gelfand(2, 4), straighten([(1, 2), (2, 1)], 4),
+                  UElement.gen(4, 3, 3) + UElement.gen(4, 4, 4)]
+        for block in ([1], [2, 3], [3, 4], [2, 3, 4], [1, 2, 3, 4]):
+            assert len(lie_generators(block)) == 2 * len(block) - 1
+            for x in elems:
+                brute = all(x.commutator(UElement.gen(4, a, b)).is_zero()
+                            for a in block for b in block)
+                assert centralizer_membership(x, block) == brute
 
 
 class TestText:
