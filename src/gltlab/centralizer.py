@@ -22,7 +22,8 @@ sum_{p >= 1} E^p (u + M)^{-p}, and (u + M)^{-p} = sum_{r >= p} C(r-1, p-1)
 
 Only the n small-block rows of the powers of E are read, and no truncation
 order enters.  `psi_series` builds those rows over int, one power at a time
-by (E^p)_{ib} = sum_s (E^{p-1})_{is} E_{sb}, then maps into the field.
+by (E^p)_{ib} = sum_s (E^{p-1})_{is} E_{sb}; every psi image has integer
+coefficients.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import QQ, interpolate
+from .field import interpolate
 from .lincomb import axpy, derivation, mul_via
 from .linalg import rank_sparse
 from .ugl import (UElement, ad, centralizer_membership, gelfand,
@@ -65,17 +66,17 @@ class BlockConvention:
         return range(self.n + 1, self.M + 1)
 
 
-# (n, N, field name) -> (powers, images), grown on demand by psi_series:
+# (n, N) -> (powers, images), grown on demand by psi_series:
 # powers[p][i - 1] is row i of E^p as {column: {word: int}}.
 _series_cache: dict = {}
 
 
-def psi_series(conv: BlockConvention, r: int, field=QQ) -> list:
+def psi_series(conv: BlockConvention, r: int) -> list:
     """The psi images through level r: out[r - 1][i - 1][j - 1] is
-    psi(t^{(r)}_{ij}), read from the cached table of conv and field."""
+    psi(t^{(r)}_{ij}), read from the cached table of conv."""
     M = conv.M
     powers, images = _series_cache.setdefault(
-        (conv.n, conv.N, field.name),
+        (conv.n, conv.N),
         ([[{i: {(): 1}} for i in conv.small_block]], []))
     while len(images) < r:
         rows = []
@@ -88,8 +89,7 @@ def psi_series(conv: BlockConvention, r: int, field=QQ) -> list:
             rows.append({b: v for b, v in nxt.items() if v})
         powers.append(rows)
         level = len(powers) - 1
-        images.append([[UElement.from_ints(M, _level(powers, level, M, i, j),
-                                           field)
+        images.append([[UElement(M, _level(powers, level, M, i, j))
                         for j in conv.small_block] for i in conv.small_block])
     return images
 
@@ -103,28 +103,28 @@ def _level(powers, r: int, M: int, i: int, j: int) -> dict:
     return acc
 
 
-def psi(conv: BlockConvention, r: int, i: int, j: int, field=QQ) -> UElement:
+def psi(conv: BlockConvention, r: int, i: int, j: int) -> UElement:
     """Image of t^{(r)}_{ij} in U(gl_M); filtration degree <= r."""
     if r < 1 or not (1 <= i <= conv.n and 1 <= j <= conv.n):
         raise ValueError("psi needs r >= 1 and indices in the small block")
-    return psi_series(conv, r, field)[r - 1][i - 1][j - 1]
+    return psi_series(conv, r)[r - 1][i - 1][j - 1]
 
 
-def zed(k: int, conv: BlockConvention, field=QQ) -> UElement:
+def zed(k: int, conv: BlockConvention) -> UElement:
     """Image of x_k: the Gelfand invariant tr(E^k) of U(gl_M)."""
-    return gelfand(k, conv.M, field)
+    return gelfand(k, conv.M)
 
 
-def phi(conv: BlockConvention, ygens, xks, field=QQ) -> UElement:
+def phi(conv: BlockConvention, ygens, xks) -> UElement:
     """Image of a product of t^{(r)}_{ij} generators and x_k generators."""
     ygens = tuple(ygens)
     xks = tuple(xks)
     deg = sum(g[0] for g in ygens) + sum(xks)
-    acc = UElement.one(conv.M, field)
+    acc = UElement.one(conv.M)
     for (r, i, j) in ygens:
-        acc = acc * psi(conv, r, i, j, field)
+        acc = acc * psi(conv, r, i, j)
     for k in xks:
-        acc = acc * zed(k, conv, field)
+        acc = acc * zed(k, conv)
     if acc.degree() > deg:
         raise AssertionError("phi image exceeded its filtration degree")
     return acc
@@ -261,9 +261,9 @@ def interp_structure(coeff_fn, n_samples: list[int], degree_bound: int,
 def zed2_linear_coefficient(n: int):
     """Coefficient of the PBW monomial E[1,1] in zed(2); linear in t."""
 
-    def coeff(N0: int) -> Fraction:
+    def coeff(N0: int) -> int:
         conv = BlockConvention(n, N0)
-        return zed(2, conv).terms.get(((1, 1),), Fraction(0))
+        return zed(2, conv).terms.get(((1, 1),), 0)
 
     return coeff
 
@@ -271,10 +271,10 @@ def zed2_linear_coefficient(n: int):
 def zed1_squared_coefficient(n: int):
     """Coefficient of E[1,1]E[1,1] in zed(1)^2; constant in t."""
 
-    def coeff(N0: int) -> Fraction:
+    def coeff(N0: int) -> int:
         conv = BlockConvention(n, N0)
         z = zed(1, conv)
-        return (z * z).terms.get((((1, 1),) * 2), Fraction(0))
+        return (z * z).terms.get((((1, 1),) * 2), 0)
 
     return coeff
 
@@ -286,7 +286,7 @@ def interpolation_check(n: int = 1) -> dict:
     got = {"zed1_squared": [str(c) for c in const.coeffs],
            "zed2_linear": [str(c) for c in lin.coeffs]}
     expected = {"zed1_squared": ["1"],
-                "zed2_linear": [str(Fraction(1 - n)), "-1"]}
+                "zed2_linear": [str(1 - n), "-1"]}
     return _report("structure coefficients interpolate in t",
                    {"n": n, "samples": [2, 3], "holdout": [4, 5]},
                    expected, got)

@@ -283,16 +283,17 @@ class GFElem:
 
 
 class FieldQ:
-    """Coefficient field adapter for Q."""
+    """Coefficient field adapter for Q: Python's exact rationals.  A value
+    stays an `int` until a non-integer enters it, and is then a `Fraction`."""
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
-    def from_int(k) -> Fraction:
-        return Fraction(k)
+    def from_int(k: Scalar) -> Scalar:
+        return k
 
 
 class FieldGF:

@@ -17,7 +17,6 @@ import itertools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .centralizer import BlockConvention, psi
@@ -175,7 +174,7 @@ def sym_mul(x: dict, y: dict) -> dict:
     return mul_via(x, y, _sorted_word)
 
 
-SYM_ONE = {(): Fraction(1)}
+SYM_ONE = {(): 1}
 
 
 def expand_type(c: ConnectedType, conv: BlockConvention) -> dict:
@@ -186,11 +185,11 @@ def expand_type(c: ConnectedType, conv: BlockConvention) -> dict:
         for mids in itertools.product(big, repeat=c.k - 1):
             path = (c.i,) + mids + (c.j,)
             key = tuple(sorted(zip(path, path[1:])))
-            out[key] = out.get(key, Fraction(0)) + 1
+            out[key] = out.get(key, 0) + 1
     else:
         for loop in itertools.product(big, repeat=c.k):
             key = tuple(sorted(zip(loop, loop[1:] + (loop[0],))))
-            out[key] = out.get(key, Fraction(0)) + 1
+            out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -213,7 +212,7 @@ def realize_string(s: PairString, conv: BlockConvention) -> dict:
             b = sym.right if sym.right is not None else assign[leg_arc[2 * p + 2]]
             factors.append((a, b))
         key = tuple(sorted(factors))
-        out[key] = out.get(key, Fraction(0)) + 1
+        out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -335,7 +334,7 @@ def invariant_rank(m: int, n: int, N: int) -> int:
             if b not in lefts and a not in rights:
                 continue  # E_ab commutes with mono
             for img, c in _sym_act(a, b, mono).items():
-                row[(a, b, img)] = Fraction(c)
+                row[(a, b, img)] = c
         rows.append(row)
     return len(zero_wt) - rank_sparse(rows)
 

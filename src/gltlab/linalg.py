@@ -1,12 +1,14 @@
 """Exact Gaussian elimination over any of the coefficient fields.
 
-Works generically with Fraction and GFElem entries: all that is required
-of an entry is field arithmetic via operators and truthiness for a zero
-test.
+Works generically with int, Fraction and GFElem entries: all that is
+required of an entry is field arithmetic via operators and truthiness for a
+zero test.  An int is not closed under `/`, so `rank_sparse` divides by an
+int pivot as a Fraction.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .lincomb import axpy
@@ -60,6 +62,8 @@ def rank_sparse(rows: Iterable[dict]) -> int:
                 axpy(row, -row[col], pivots[col])
             else:
                 pval = row[col]
+                if isinstance(pval, int):
+                    pval = Fraction(pval)
                 pivots[col] = {c: v / pval for c, v in row.items()}
                 rank += 1
                 break

@@ -27,7 +27,7 @@ class DenseTensorMap:
     source: tuple
     target: tuple
     N: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> Fraction
+    entries: dict = field(default_factory=dict)  # (row, col) -> rational
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseTensorMap):
@@ -92,9 +92,7 @@ def realize_diagram(d: BrauerDiagram, n: int) -> DenseTensorMap:
         col = _multi_index([leg_val[i] for i in range(ns)], n)
         row = _multi_index([leg_val[ns + i] for i in range(nt)], n)
         key = (row, col)
-        entries[key] = entries.get(key, Fraction(0)) + 1
-    if not edges:
-        entries[(0, 0)] = Fraction(1)
+        entries[key] = entries.get(key, 0) + 1
     return DenseTensorMap(d.source, d.target, n, entries)
 
 

@@ -1,13 +1,14 @@
-"""U(gl_M) with PBW normal forms, over a pluggable coefficient field.
+"""U(gl_M) with PBW normal forms, over Q.
 
 Generators E[a,b] (1-based indices) are totally ordered lexicographically on
 (a, b); a PBW monomial is a nondecreasing word in that order.  Straightening
 rewrites any word to normal form by adjacent swaps,
 E[a,b] E[c,d] = E[c,d] E[a,b] + delta_bc E[a,d] - delta_da E[c,b],
 in the one memoized loop `lincomb.normal_form`.  The structure constants are
-integers, so normal forms are computed and memoized over `int`, once for
-every field; the coefficient field enters only at the boundary
-(`UElement.from_word`, and products of field coefficients with integers).
+integers, so normal forms are computed and memoized over `int`.  Coefficients
+are Python's exact rationals: a coefficient stays an `int` until a
+non-integer enters it (`UElement.from_text`, `scale` by a `Fraction`) and is
+then a `Fraction`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import itertools
 import re
 from fractions import Fraction
 
-from .field import QQ
+# Not used here: perfbench/tracer.py reads `ugl.QQ` by attribute.
+from .field import QQ  # noqa: F401
 from .lincomb import axpy, derivation, mul_via, normal_form
 
 GLGen = tuple[int, int]
@@ -50,35 +52,29 @@ def ad(x: dict, g: GLGen) -> dict:
 class UElement:
     """Element of U(gl_M) in PBW normal form."""
 
-    __slots__ = ("M", "terms", "field")
+    __slots__ = ("M", "terms")
 
-    def __init__(self, M: int, terms=None, field=QQ):
+    def __init__(self, M: int, terms=None):
         self.M = M
-        self.field = field
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls, M: int, field=QQ) -> "UElement":
-        return cls(M, {}, field)
+    def zero(cls, M: int) -> "UElement":
+        return cls(M)
 
     @classmethod
-    def one(cls, M: int, field=QQ) -> "UElement":
-        return cls(M, {(): field.one}, field)
+    def one(cls, M: int) -> "UElement":
+        return cls(M, {(): 1})
 
     @classmethod
-    def gen(cls, M: int, a: int, b: int, field=QQ) -> "UElement":
+    def gen(cls, M: int, a: int, b: int) -> "UElement":
         if not (1 <= a <= M and 1 <= b <= M):
             raise ValueError(f"generator E[{a},{b}] out of range for M={M}")
-        return cls(M, {((a, b),): field.one}, field)
+        return cls(M, {((a, b),): 1})
 
     @classmethod
-    def from_ints(cls, M: int, terms: dict, field=QQ) -> "UElement":
-        """The element with integer coefficients terms, mapped into field."""
-        return cls(M, {m: field.from_int(c) for m, c in terms.items()}, field)
-
-    @classmethod
-    def from_word(cls, M: int, word_, field=QQ) -> "UElement":
-        return cls.from_ints(M, straighten_word(tuple(word_)), field)
+    def from_word(cls, M: int, word_) -> "UElement":
+        return cls(M, straighten_word(tuple(word_)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -87,15 +83,11 @@ class UElement:
         return max((len(m) for m in self.terms), default=0)
 
     def scale(self, c) -> "UElement":
-        if isinstance(c, (int, Fraction)):
-            c = self.field.from_int(c)
-        return UElement(self.M, {m: v * c for m, v in self.terms.items()},
-                        self.field)
+        return UElement(self.M, {m: v * c for m, v in self.terms.items()})
 
     def __add__(self, other: "UElement") -> "UElement":
         self._compat(other)
-        return UElement(self.M, axpy(dict(self.terms), 1, other.terms),
-                        self.field)
+        return UElement(self.M, axpy(dict(self.terms), 1, other.terms))
 
     def __neg__(self) -> "UElement":
         return self.scale(-1)
@@ -106,26 +98,23 @@ class UElement:
     def __mul__(self, other: "UElement") -> "UElement":
         self._compat(other)
         return UElement(self.M, mul_via(self.terms, other.terms,
-                                        straighten_word), self.field)
+                                        straighten_word))
 
     def commutator(self, other: "UElement") -> "UElement":
         """self*other - other*self by the Leibniz rule, letter by letter:
         E_g in other -> [self, E_g], and E_h in self -> [E_h, E_g]."""
         self._compat(other)
         return UElement(self.M, derivation(
-            other.terms, lambda g: ad(self.terms, g), straighten_word),
-            self.field)
+            other.terms, lambda g: ad(self.terms, g), straighten_word))
 
     def top_part(self) -> "UElement":
         d = self.degree()
         return UElement(self.M, {k: v for k, v in self.terms.items()
-                                 if len(k) == d}, self.field)
+                                 if len(k) == d})
 
     def _compat(self, other: "UElement"):
         if self.M != other.M:
             raise ValueError("mixed gl sizes")
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError("mixed coefficient fields")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UElement):
@@ -143,33 +132,33 @@ class UElement:
         return " + ".join(parts)
 
     @classmethod
-    def from_text(cls, M: int, text: str, field=QQ) -> "UElement":
+    def from_text(cls, M: int, text: str) -> "UElement":
         text = text.strip()
         if text == "0":
-            return cls.zero(M, field)
-        acc = cls.zero(M, field)
+            return cls.zero(M)
+        acc = cls.zero(M)
         for part in re.split(r"\s*\+\s*", text):
             cstr, _, body = part.partition("*")
             coeff = Fraction(cstr)
             word_ = tuple(
                 (int(a), int(b))
                 for a, b in re.findall(r"E\[(\d+),(\d+)\]", body))
-            acc = acc + cls.from_word(M, word_, field).scale(coeff)
+            acc = acc + cls.from_word(M, word_).scale(coeff)
         return acc
 
     def __repr__(self) -> str:
         return f"UElement(M={self.M}, {self.to_text()})"
 
 
-def straighten(word_, M: int, field=QQ) -> UElement:
+def straighten(word_, M: int) -> UElement:
     """Normal form of a free word in the generators."""
     for (a, b) in word_:
         if not (1 <= a <= M and 1 <= b <= M):
             raise ValueError(f"generator E[{a},{b}] out of range for M={M}")
-    return UElement.from_word(M, word_, field)
+    return UElement.from_word(M, word_)
 
 
-def gelfand(k: int, M: int, field=QQ) -> UElement:
+def gelfand(k: int, M: int) -> UElement:
     """Central element tr(E^k): sum of E[a1,a2] E[a2,a3] ... E[ak,a1]."""
     if k < 1:
         raise ValueError("gelfand degree must be >= 1")
@@ -177,7 +166,7 @@ def gelfand(k: int, M: int, field=QQ) -> UElement:
     for idx in itertools.product(range(1, M + 1), repeat=k):
         axpy(acc, 1, straighten_word(
             tuple((idx[i], idx[(i + 1) % k]) for i in range(k))))
-    return UElement.from_ints(M, acc, field)
+    return UElement(M, acc)
 
 
 def lie_generators(block) -> list[GLGen]:

@@ -456,15 +456,15 @@ def automorphism_check(kind: str, n: int, m: int, **params) -> list[dict]:
     return checks
 
 
-def eval_hom(y: YElement, field=QQ) -> UElement:
+def eval_hom(y: YElement) -> UElement:
     """Evaluation to U(gl_n): level 1 -> E_ij, higher levels -> 0."""
     n = y.algebra.n
-    acc = UElement.zero(n, field)
+    acc = UElement.zero(n)
     for w, c in y.terms.items():
         if any(r > 1 for r, _, _ in w):
             continue
         word_ = tuple((i, j) for _, i, j in w)
-        acc = acc + UElement.from_word(n, word_, field).scale(c)
+        acc = acc + UElement.from_word(n, word_).scale(c)
     return acc
 
 

@@ -9,7 +9,7 @@ from gltlab.centralizer import (BlockConvention, a0_monomials,
                                 membership_check, phi, psi, zed,
                                 zed_central_check, zed_commutes_psi_check,
                                 zed2_linear_coefficient)
-from gltlab.ugl import UElement
+from gltlab.ugl import UElement, gelfand, straighten
 from gltlab.yangian import MatrixSeries
 
 
@@ -130,6 +130,26 @@ class TestInjectivity:
         rep = injectivity_check(1, BlockConvention(1, 2))
         assert set(rep) == {"check", "parameters", "expected", "got", "pass"}
         assert rep["pass"]
+
+
+class TestCoefficients:
+    """Coefficients are Python's exact rationals: an int until a
+    non-integer enters, then a Fraction."""
+
+    def test_integer_images_are_int(self):
+        conv = BlockConvention(2, 2)
+        elems = [psi(conv, r, i, j) for r in (1, 2, 3)
+                 for i in conv.small_block for j in conv.small_block]
+        elems += [zed(k, conv) for k in (1, 2, 3)]
+        elems += [gelfand(3, 3), straighten([(2, 1), (1, 2), (2, 1)], 2)]
+        for x in elems:
+            assert x.terms
+            assert {type(c) for c in x.terms.values()} == {int}
+
+    def test_from_text_fraction(self):
+        x = UElement.from_text(3, "3/2*E[1,2]")
+        (c,) = x.terms.values()
+        assert type(c) is Fraction and c == Fraction(3, 2)
 
 
 class TestInterpolation:
