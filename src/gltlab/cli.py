@@ -18,6 +18,7 @@ from .field import QQ, T_POLY, FieldGF, _is_prime
 from . import centralizer, diagrams, invariants, tensor_eval, ugl, yangian
 
 SCHEMA_VERSION = 1
+MAX_PRIME = 2**31 - 1  # trial division to its square root: about 2 ms
 
 SUITES = ("brauer", "evalfunctor", "ugl", "yangian", "centralizer",
           "invariants", "all")
@@ -39,8 +40,10 @@ class RunConfig:
             raise ValueError("n, N, m and pairs must be positive")
         if self.field_name not in ("Q", "Qt", "GF"):
             raise ValueError(f"unknown field {self.field_name!r}")
-        if self.field_name == "GF" and not _is_prime(self.prime):
-            raise ValueError("prime field modulus must be prime >= 2")
+        if self.field_name == "GF" and not (
+                self.prime <= MAX_PRIME and _is_prime(self.prime)):
+            raise ValueError(
+                f"prime field modulus must be a prime in [2, {MAX_PRIME}]")
         if self.field_name == "Qt" and suite == "yangian":
             raise ValueError("the yangian suite runs over Q or a prime field")
         if self.field_name != "Q" and suite != "yangian":

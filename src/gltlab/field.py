@@ -15,6 +15,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -214,7 +215,7 @@ def interpolate(points: Sequence[tuple[Scalar, Scalar]], degree_bound: int) -> P
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    for q in itertools.chain([2], range(3, int(p ** 0.5) + 1, 2)):
+    for q in itertools.chain([2], range(3, math.isqrt(p) + 1, 2)):
         if p % q == 0:
             return p == q
     return True

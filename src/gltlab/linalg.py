@@ -1,13 +1,17 @@
-"""Exact Gaussian elimination over any of the coefficient fields.
+"""Exact rank by fraction-free Gaussian elimination.
 
-Works generically with int, Fraction and GFElem entries: all that is
-required of an entry is field arithmetic via operators and truthiness for a
-zero test.  An int is not closed under `/`, so `rank_sparse` divides by an
-int pivot as a Fraction.
+Rows over Q hold int and Fraction entries; a row with a Fraction is first
+scaled to int by the lcm of its denominators, which keeps the rank. The
+elimination then stays in int: a row is reduced by a pivot row as
+a*row - b*pivot, where a, b are the two pivot-column entries over their gcd
+(Bareiss 1968), and every stored pivot row is divided by the gcd of its
+entries. Rows over a prime field hold GFElem entries and take the same
+update without the gcd step.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -15,32 +19,8 @@ from .lincomb import axpy
 
 
 def rank_dense(rows: list[list]) -> int:
-    """Rank of a dense matrix given as a list of rows (destructive copy)."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = max((len(r) for r in mat), default=0)
-    col = 0
-    while col < ncols and rank < len(mat):
-        piv = None
-        for r in range(rank, len(mat)):
-            if col < len(mat[r]) and mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pval = prow[col]
-        for r in range(rank + 1, len(mat)):
-            if col < len(mat[r]) and mat[r][col]:
-                f = mat[r][col] / pval
-                row = mat[r]
-                for c in range(col, len(row)):
-                    row[c] = row[c] - f * prow[c]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a dense matrix given as a list of rows."""
+    return rank_sparse(dict(enumerate(r)) for r in rows)
 
 
 def rank_sparse(rows: Iterable[dict]) -> int:
@@ -49,22 +29,34 @@ def rank_sparse(rows: Iterable[dict]) -> int:
     Column keys must be hashable and mutually comparable (ints, or tuples
     of them); the least key of a row is its pivot column. Entries of
     reduced rows are kept sparse, which matters for the large symmetric-power
-    invariant computations.
+    invariant computations. The rows given are not modified.
     """
-    pivots: dict = {}  # pivot column -> reduced row (with 1 at the pivot)
-    rank = 0
+    pivots: dict = {}  # pivot column -> reduced row
     for row in rows:
         row = {c: v for c, v in row.items() if v}
+        dens = [v.denominator for v in row.values() if isinstance(v, Fraction)]
+        if dens:
+            lcm = math.lcm(*dens)
+            row = {c: v.numerator * (lcm // v.denominator)
+                   for c, v in row.items()}
         while row:
             # Deterministic pivot choice keeps runs reproducible.
             col = min(row)
-            if col in pivots:
-                axpy(row, -row[col], pivots[col])
-            else:
-                pval = row[col]
-                if isinstance(pval, int):
-                    pval = Fraction(pval)
-                pivots[col] = {c: v / pval for c, v in row.items()}
-                rank += 1
+            piv = pivots.get(col)
+            if piv is None:
+                lead = row[col]
+                if isinstance(lead, int):
+                    g = math.gcd(*row.values())
+                    g = -g if lead < 0 else g
+                    if g != 1:
+                        row = {c: v // g for c, v in row.items()}
+                pivots[col] = row
                 break
-    return rank
+            a, b = piv[col], row[col]
+            if isinstance(a, int):
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            axpy(row, -b, piv)
+    return len(pivots)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,16 @@ class TestExitCodes:
     def test_bad_config_is_two(self, capsys):
         code, _, err = run(["ugl", "--field", "GF", "--prime", "9"], capsys)
         assert code == 2 and "prime" in err
+
+    def test_prime_above_bound_is_two_at_once(self):
+        # 2^61 - 1 is prime; trial division to its square root would hang.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gltlab.cli", "yangian", "--field", "GF",
+             "--prime", str(2**61 - 1)],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2 and "prime" in proc.stderr
+        assert not proc.stdout
 
     @pytest.mark.parametrize("suite", ["yangian", "all"])
     def test_yangian_over_qt_is_two(self, suite, capsys):
