@@ -14,11 +14,10 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
-from .field import QQ, T_POLY, FieldGF, _is_prime
+from .field import T_POLY, check_prime
 from . import centralizer, diagrams, invariants, tensor_eval, ugl, yangian
 
 SCHEMA_VERSION = 1
-MAX_PRIME = 2**31 - 1  # trial division to its square root: about 2 ms
 
 SUITES = ("brauer", "evalfunctor", "ugl", "yangian", "centralizer",
           "invariants", "all")
@@ -38,19 +37,12 @@ class RunConfig:
     def validate(self, suite: str):
         if not self.N or min(self.n, self.m, self.pairs, *self.N) < 1:
             raise ValueError("n, N, m and pairs must be positive")
-        if self.field_name not in ("Q", "Qt", "GF"):
+        if self.field_name not in ("Q", "GF"):
             raise ValueError(f"unknown field {self.field_name!r}")
-        if self.field_name == "GF" and not (
-                self.prime <= MAX_PRIME and _is_prime(self.prime)):
-            raise ValueError(
-                f"prime field modulus must be a prime in [2, {MAX_PRIME}]")
-        if self.field_name == "Qt" and suite == "yangian":
-            raise ValueError("the yangian suite runs over Q or a prime field")
-        if self.field_name != "Q" and suite != "yangian":
-            raise ValueError(f"--field is for yangian only, not {suite}")
-
-    def coefficient_field(self):
-        return QQ if self.field_name == "Q" else FieldGF(self.prime)
+        if self.field_name == "GF":
+            check_prime(self.prime)
+            if suite != "yangian":
+                raise ValueError(f"--field is for yangian only, not {suite}")
 
 
 class ResourceGuard(Exception):
@@ -142,7 +134,8 @@ def suite_ugl(cfg: RunConfig) -> list[dict]:
 
 
 def suite_yangian(cfg: RunConfig) -> list[dict]:
-    rep = yangian.pbw_report(cfg.n, cfg.m, cfg.coefficient_field())
+    rep = yangian.pbw_report(cfg.n, cfg.m,
+                             cfg.prime if cfg.field_name == "GF" else None)
     checks = [{"check": "PBW: normal-form span equals monomial count",
                "parameters": {"n": cfg.n, "m": cfg.m, "field": rep["field"]},
                "expected": rep["expected"], "got": rep["dims"],
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--N", type=int, nargs="+")
     p.add_argument("--m", type=int)
-    p.add_argument("--field", choices=["Q", "Qt", "GF"])
+    p.add_argument("--field", choices=["Q", "GF"])
     p.add_argument("--prime", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--pairs", type=int)

@@ -6,15 +6,16 @@ values here are kept in canonical form at all times:
 
 * rationals are `fractions.Fraction` (always reduced, positive denominator);
 * `Poly` is a univariate polynomial in t over Q with no trailing zero
-  coefficients;
-* `GFElem` is a residue mod a prime p, 0 <= residue < p.
+  coefficients.
 
-No floating point is used anywhere.
+No floating point is used anywhere.  A prime field is not a coefficient
+type: the one computation over GF(p), the PBW rank of the Yangian, reduces
+its integer rows mod p inside `linalg.rank_sparse`, and `check_prime`
+bounds and tests the modulus.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -212,114 +213,25 @@ def interpolate(points: Sequence[tuple[Scalar, Scalar]], degree_bound: int) -> P
     return acc
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in itertools.chain([2], range(3, math.isqrt(p) + 1, 2)):
-        if p % q == 0:
-            return p == q
-    return True
+MAX_PRIME = 2**31 - 1  # trial division to its square root: about 4 ms
 
 
-class GFElem:
-    """Element of the prime field F_p."""
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, residue: int, p: int):
-        self.residue = residue % p
-        self.p = p
-
-    def _check(self, other) -> "GFElem":
-        if isinstance(other, int):
-            return GFElem(other, self.p)
-        if isinstance(other, GFElem):
-            if other.p != self.p:
-                raise ValueError("mixed prime field moduli")
-            return other
-        raise TypeError(f"cannot coerce {type(other).__name__} to GF({self.p})")
-
-    def __add__(self, other):
-        other = self._check(other)
-        return GFElem(self.residue + other.residue, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GFElem(-self.residue, self.p)
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return GFElem(self.residue * other.residue, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other.residue == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return self * GFElem(pow(other.residue, -1, self.p), self.p)
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        if isinstance(other, GFElem):
-            return self.p == other.p and self.residue == other.residue
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("GFElem", self.p, self.residue))
-
-    def __repr__(self):
-        return f"{self.residue} (mod {self.p})"
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime in [2, MAX_PRIME].  The bound is
+    tested first, so a large p fails at once instead of hanging in trial
+    division."""
+    if not (2 <= p <= MAX_PRIME
+            and all(p % q for q in range(2, math.isqrt(p) + 1))):
+        raise ValueError(
+            f"prime field modulus must be a prime in [2, {MAX_PRIME}]")
 
 
 class FieldQ:
-    """Coefficient field adapter for Q: Python's exact rationals.  A value
-    stays an `int` until a non-integer enters it, and is then a `Fraction`."""
+    """The field of every check: Python's exact rationals, `int` until a
+    non-integer enters and `Fraction` after.  Only its name is kept;
+    perfbench/tracer.py reads `ugl.QQ.name`."""
 
     name = "Q"
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(k: Scalar) -> Scalar:
-        return k
-
-
-class FieldGF:
-    """Coefficient field adapter for F_p, p prime."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-        self.zero = GFElem(0, p)
-        self.one = GFElem(1, p)
-
-    def from_int(self, k) -> GFElem:
-        if isinstance(k, Fraction):
-            if k.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return GFElem(k.numerator, self.p) / GFElem(k.denominator, self.p)
-        return GFElem(int(k), self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldGF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FieldGF", self.p))
 
 
 QQ = FieldQ()

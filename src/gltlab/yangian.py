@@ -12,8 +12,9 @@ fails loudly with TruncationError.
 
 The extracted relations have integer coefficients, so normal forms are
 computed over `int` by the one memoized loop `lincomb.normal_form` (one memo
-per rewriting strategy) and the coefficient field is applied at the
-boundary, in `TruncatedYangian.nf` and `nf_alt`.
+per rewriting strategy), and elements hold `int` or `Fraction` coefficients.
+A prime field enters only in `pbw_report(n, m, p)`, which takes the rank of
+the integer normal forms mod p.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .field import QQ
+from .field import check_prime
 from .lincomb import axpy, mul_via, normal_form
 from .linalg import rank_sparse
 from .ugl import UElement
@@ -135,12 +136,11 @@ class RelationTable:
 
 
 class TruncatedYangian:
-    """Y(gl_n) truncated at total degree m, over a coefficient field."""
+    """Y(gl_n) truncated at total degree m, over Q."""
 
-    def __init__(self, n: int, m: int, field=QQ):
+    def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self.field = field
         self.table = RelationTable(n, m)
         self._memos = ({}, {})  # integer normal forms, per strategy
 
@@ -151,21 +151,23 @@ class TruncatedYangian:
                 for j in range(1, self.n + 1)]
 
     def nf(self, w: tuple[YGen, ...]) -> dict:
-        """Normal form of a free word as {sorted word: coefficient}."""
-        return self._field_nf(w, rightmost=False)
+        """Normal form of a free word as {sorted word: int}.
+
+        The result is the memo's own dict: callers must not mutate it.
+        """
+        self._check_degree(w)
+        return normal_form(tuple(w), self.table.tail, self._memos[0])
 
     def nf_alt(self, w: tuple[YGen, ...]) -> dict:
-        """Same normal form via the rightmost-inversion strategy."""
-        return self._field_nf(w, rightmost=True)
+        """Same normal form via the rightmost-inversion strategy; also the
+        memo's own dict."""
+        self._check_degree(w)
+        return normal_form(tuple(w), self.table.tail, self._memos[1], True)
 
-    def _field_nf(self, w, rightmost: bool) -> dict:
+    def _check_degree(self, w):
         if word_degree(w) > self.m:
             raise TruncationError(
                 f"word degree {word_degree(w)} exceeds truncation {self.m}")
-        terms = normal_form(tuple(w), self.table.tail,
-                            self._memos[rightmost], rightmost)
-        f = self.field
-        return {mono: v for mono, c in terms.items() if (v := f.from_int(c))}
 
     # -- element constructors ------------------------------------------------
 
@@ -173,12 +175,12 @@ class TruncatedYangian:
         return YElement(self, {})
 
     def one(self) -> "YElement":
-        return YElement(self, {(): self.field.one})
+        return YElement(self, {(): 1})
 
     def gen(self, r: int, i: int, j: int) -> "YElement":
         if r > self.m:
             raise TruncationError(f"generator level {r} above truncation {self.m}")
-        return YElement(self, {((r, i, j),): self.field.one})
+        return YElement(self, {((r, i, j),): 1})
 
     def from_word(self, w) -> "YElement":
         return YElement(self, self.nf(tuple(w)))
@@ -230,8 +232,6 @@ class YElement:
         return max((word_degree(w) for w in self.terms), default=0)
 
     def scale(self, c) -> "YElement":
-        if isinstance(c, (int, Fraction)):
-            c = self.algebra.field.from_int(c)
         return YElement(self.algebra, {w: v * c for w, v in self.terms.items()})
 
     def __add__(self, other: "YElement") -> "YElement":
@@ -468,9 +468,12 @@ def eval_hom(y: YElement) -> UElement:
     return acc
 
 
-def pbw_report(n: int, m: int, field=QQ) -> dict:
-    """Span dimensions of normal forms vs sorted-monomial counts, per degree."""
-    algebra = TruncatedYangian(n, m, field)
+def pbw_report(n: int, m: int, p: int | None = None) -> dict:
+    """Span dimensions of normal forms vs sorted-monomial counts, per degree,
+    over Q or, given a prime p, over GF(p)."""
+    if p is not None:
+        check_prime(p)
+    algebra = TruncatedYangian(n, m)
     rows_by_deg: dict[int, list] = {d: [] for d in range(m + 1)}
     for w in algebra.all_words(m):
         rows_by_deg[word_degree(w)].append(algebra.nf(w))
@@ -479,8 +482,8 @@ def pbw_report(n: int, m: int, field=QQ) -> dict:
     rows: list = []
     for d in range(m + 1):
         rows.extend(rows_by_deg[d])
-        dims.append(rank_sparse(rows))
+        dims.append(rank_sparse(rows, p))
         expected.append(len(algebra.sorted_monomials(d)))
-    return {"field": getattr(field, "name", str(field)), "n": n, "m": m,
+    return {"field": "Q" if p is None else f"GF({p})", "n": n, "m": m,
             "dims": dims, "expected": expected,
             "pass": dims == expected}

@@ -53,15 +53,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("suite", ["yangian", "all"])
     def test_yangian_over_qt_is_two(self, suite, capsys):
-        code, out, err = run([suite, "--field", "Qt"], capsys)
-        assert code == 2 and "yangian" in err and not out
+        # Qt is no --field choice: argparse's usage error.
+        with pytest.raises(SystemExit) as exc:
+            run([suite, "--field", "Qt"], capsys)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and "invalid choice" in err and not out
 
     @pytest.mark.parametrize("suite", ["brauer", "evalfunctor", "ugl",
                                        "centralizer", "invariants", "all"])
     @pytest.mark.parametrize("field", [["GF", "--prime", "7"], ["Qt"]],
                              ids=["GF", "Qt"])
     def test_field_ignored_by_suite_is_two(self, suite, field, capsys):
-        code, out, err = run([suite, "--field", *field], capsys)
+        # validate refuses GF outside yangian; argparse refuses Qt anywhere.
+        try:
+            code = cli.main([suite, "--field", *field])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
         assert code == 2 and "--field" in err and not out
 
     def test_yangian_accepts_prime_field(self, capsys):
@@ -96,6 +104,12 @@ class TestConfig:
         cfgfile.write_text(json.dumps(data))
         code, out, err = run(["ugl", "--config", str(cfgfile)], capsys)
         assert code == 2 and err.startswith("error: ") and not out
+
+    def test_unknown_field_in_config_is_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"field": "Qt"}))
+        code, out, err = run(["yangian", "--config", str(cfgfile)], capsys)
+        assert code == 2 and "unknown field" in err and not out
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -147,6 +161,15 @@ class TestGolden:
         path = tmp_path / "now.json"
         code, _, _ = run(["centralizer", "--n", "2", "--m", "3", "--N", "8",
                           "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_yangian_gf7_matches_stored_report(self, tmp_path, capsys):
+        # The PBW rank over GF(7): the one check that reduces mod a prime.
+        golden = ROOT / "reports" / "golden_yangian_gf7.json"
+        path = tmp_path / "now.json"
+        code, _, _ = run(["yangian", "--field", "GF", "--prime", "7",
+                          "--n", "2", "--m", "3", "--out", str(path)], capsys)
         assert code == 0
         assert path.read_bytes() == golden.read_bytes()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gltlab.field import Poly, T_POLY, FieldGF, GFElem, interpolate
+from gltlab.field import MAX_PRIME, Poly, T_POLY, check_prime, interpolate
 
 fractions_st = st.builds(Fraction,
                          st.integers(min_value=-30, max_value=30),
@@ -75,17 +75,11 @@ class TestInterpolate:
 
 
 class TestPrimeField:
-    def test_arithmetic(self):
-        f = FieldGF(5)
-        x = f.from_int(7)
-        assert x == GFElem(2, 5)
-        assert x / f.from_int(3) == GFElem(4, 5)
-        assert f.from_int(Fraction(1, 2)) == GFElem(3, 5)
-
     def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            FieldGF(6)
+        for p in (-7, 0, 1, 4, 6, 9, 7 * 11, 2**31):
+            with pytest.raises(ValueError, match="prime"):
+                check_prime(p)
 
-    def test_denominator_divisible(self):
-        with pytest.raises(ZeroDivisionError):
-            FieldGF(5).from_int(Fraction(1, 10))
+    def test_primes_accepted(self):
+        for p in (2, 3, 5, 7, 31, MAX_PRIME):
+            check_prime(p)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from gltlab.field import GFElem
 from gltlab.linalg import rank_dense, rank_sparse
 
 
@@ -21,11 +20,11 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-def reference_rank(rows, one=Fraction(1)):
-    """Textbook Gauss elimination on dense rows, dividing in the field of
-    `one` (Fraction over Q, GFElem over a prime field)."""
+def reference_rank(rows):
+    """Textbook Gauss elimination on dense rows over Q, in Fractions."""
     ncols = max((len(r) for r in rows), default=0)
-    mat = [[one * x for x in r] + [one * 0] * (ncols - len(r)) for r in rows]
+    mat = [[Fraction(x) for x in r] + [Fraction(0)] * (ncols - len(r))
+           for r in rows]
     rank = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
@@ -35,6 +34,25 @@ def reference_rank(rows, one=Fraction(1)):
         for r in range(rank + 1, len(mat)):
             f = mat[r][col] / mat[rank][col]
             mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def reference_rank_mod(rows, p):
+    """Textbook Gauss elimination on dense int rows over GF(p), dividing by
+    a pivot through its inverse pow(x, -1, p)."""
+    ncols = max((len(r) for r in rows), default=0)
+    mat = [[x % p for x in r] + [0] * (ncols - len(r)) for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] * inv % p
+            mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
 
@@ -104,12 +122,22 @@ def test_gf_rows_match_reference():
     # Dependent mod 7 only: r0 + r1 + 7*(0, 1, 0, ...).
     ints.append([x + y for x, y in zip(ints[0], ints[1])])
     ints[-1][1] += 7
-    one = GFElem(1, p)
-    rows = [[GFElem(x, p) for x in r] for r in ints]
-    expected = reference_rank(rows, one)
-    assert rank_sparse(sparse(rows)) == expected
-    assert rank_sparse(sparse(rows[:-1])) == expected
+    expected = reference_rank_mod(ints, p)
+    assert rank_sparse(sparse(ints), p) == expected
+    assert rank_sparse(sparse(ints[:-1]), p) == expected
     assert reference_rank(ints) == rank_sparse(sparse(ints)) == expected + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+@pytest.mark.parametrize("seed", range(6))
+def test_mod_p_rows_match_reference(p, seed):
+    # Negative entries and entries far above p, with planted dependencies.
+    rng = random.Random(300 + seed)
+    nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+    ints = planted(rng, nrows, ncols, rng.randint(0, nrows - 1), scale=5 * p)
+    assert any(x < 0 for r in ints for x in r)
+    assert any(x >= p for r in ints for x in r)
+    assert rank_sparse(sparse(ints), p) == reference_rank_mod(ints, p)
 
 
 def test_empty_rows_and_matrix():
@@ -135,4 +163,8 @@ def test_input_rows_are_not_modified():
     rows = [{0: 2, 1: 4}, {0: 3, 1: Fraction(1, 2)}, {0: 0, 1: 6}]
     copies = [dict(r) for r in rows]
     rank_sparse(rows)
+    assert rows == copies
+    rows = [{0: 9, 1: -4}, {0: 3, 1: 15}, {0: 0, 1: 6}]
+    copies = [dict(r) for r in rows]
+    rank_sparse(rows, 5)
     assert rows == copies

@@ -1,15 +1,33 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
-from gltlab.field import QQ, FieldGF
+from gltlab.linalg import rank_sparse
 from gltlab.ugl import UElement
 from gltlab.yangian import (MatrixSeries, RelationTable, TruncatedYangian,
                             TruncationError, automorphism_check, eval_hom,
                             generator_series, pbw_report, transformed_series,
                             word_degree)
+
+
+def rank_mod(rows, p):
+    """Textbook Gauss elimination on dense int rows over GF(p)."""
+    mat = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] * inv % p
+            mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
 
 
 class TestRelationExtraction:
@@ -60,30 +78,38 @@ class TestNormalForm:
             assert alg.nf(tuple(w)) == alg.nf_alt(tuple(w))
 
     def test_prime_field_is_q_reduced(self):
-        q_alg = TruncatedYangian(2, 3)
+        # The PBW dims over GF(p) are the mod-p ranks of the Q normal forms.
+        alg = TruncatedYangian(2, 3)
+        monos = {m: k for k, m in enumerate(alg.sorted_monomials(3))}
+        rows_by_deg = [[] for _ in range(4)]
+        for w in alg.all_words(3):
+            row = [0] * len(monos)
+            for mono, c in alg.nf(w).items():
+                row[monos[mono]] = c
+            rows_by_deg[word_degree(w)].append(row)
         for p in (2, 3, 5):
-            f = FieldGF(p)
-            alg = TruncatedYangian(2, 3, f)
-            for w in q_alg.all_words(3):
-                want = {m: f.from_int(c) for m, c in q_alg.nf(w).items()
-                        if c % p}
-                assert alg.nf(w) == want
-                assert alg.nf_alt(w) == want
+            dims = [rank_mod(sum(rows_by_deg[:d + 1], []), p)
+                    for d in range(4)]
+            assert pbw_report(2, 3, p)["dims"] == dims == [1, 5, 19, 59]
 
     def test_zero_residue_pruned(self):
         w = ((1, 1, 2), (1, 1, 1), (1, 1, 1))
         mid = ((1, 1, 1), (1, 1, 2))
-        assert TruncatedYangian(2, 3).nf(w)[mid] == -2
-        alg = TruncatedYangian(2, 3, FieldGF(2))
+        alg = TruncatedYangian(2, 3)
         for terms in (alg.nf(w), alg.nf_alt(w), alg.from_word(w).terms):
-            assert mid not in terms and len(terms) == 2
+            assert terms[mid] == -2 and len(terms) == 3
+        # Mod 2 the term -2*mid vanishes: nf(w) equals its other two terms.
+        rest = {m: c for m, c in alg.nf(w).items() if m != mid}
+        assert rank_sparse([alg.nf(w), rest]) == 2
+        assert rank_sparse([alg.nf(w), rest], 2) == 1
 
     def test_memo_not_aliased(self):
+        # nf returns the memo's own dict; elements built from it copy it.
         alg = TruncatedYangian(2, 3)
         w = ((1, 1, 2), (1, 1, 1), (1, 1, 1))
         want = dict(alg.nf(w))
-        alg.nf(w).clear()
         alg.from_word(w).terms.clear()
+        (alg.from_word(w[:1]) * alg.from_word(w[1:])).terms.clear()
         assert alg.nf(w) == want
         assert alg.from_word(w).terms == want
 
@@ -111,7 +137,23 @@ class TestPBW:
 
     def test_prime_fields(self):
         for p in (5, 7):
-            assert pbw_report(1, 3, FieldGF(p))["pass"]
+            rep = pbw_report(1, 3, p)
+            assert rep["pass"] and rep["field"] == f"GF({p})"
+
+    @pytest.mark.parametrize("p", [6, 2**61 - 1])
+    def test_bad_modulus_rejected_at_once(self, p):
+        # 2^61 - 1 is prime, but trial division to its square root would
+        # take minutes: the bound must be tested first.
+        def expire(signum, frame):
+            raise TimeoutError("modulus check did not finish within 2 s")
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(2)
+        try:
+            with pytest.raises(ValueError, match="prime"):
+                pbw_report(1, 2, p)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestSeries:
