@@ -283,6 +283,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         cfg.validate(args.suite)
+        if cfg.out:  # an unwritable --out fails here, before any suite runs
+            open(cfg.out, "a").close()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,6 +182,31 @@ def lie_generators(block) -> list[GLGen]:
     return pairs + [(c, c) for c in block[:1]]
 
 
+def ad_table(x: dict, block) -> dict:
+    """{g: [x, E_g]} for every E_g of gl of the index block.  `ad` runs
+    only on the `lie_generators`; every other entry follows exactly from
+    the Jacobi identity for the derivation ad_x,
+    [x, [E_p, E_q]] = [[x, E_p], E_q] - [[x, E_q], E_p], along
+    E_ac = [E_ab, E_bc] (b next to a in the block, by increasing |a - c|)
+    and E_dd = E_cc - [E_cd, E_dc] (d next to c).  For central x every
+    generator bracket is {}, and so is each further entry, at no cost."""
+    block = list(block)
+    table = {g: ad(x, g) for g in lie_generators(block)}
+
+    def jacobi(p: GLGen, q: GLGen) -> dict:
+        return axpy(ad(table[p], q), -1, ad(table[q], p))
+
+    for dist in range(2, len(block)):
+        for i in range(len(block) - dist):
+            a, c = block[i], block[i + dist]
+            table[a, c] = jacobi((a, block[i + 1]), (block[i + 1], c))
+            table[c, a] = jacobi((c, block[i + dist - 1]),
+                                 (block[i + dist - 1], a))
+    for c, d in zip(block, block[1:]):
+        table[d, d] = axpy(dict(table[c, c]), -1, jacobi((c, d), (d, c)))
+    return table
+
+
 def centralizer_membership(x: UElement, block) -> bool:
     """True iff x commutes with every E[a,b] for a, b in the index block,
     tested on the `lie_generators` of the block."""

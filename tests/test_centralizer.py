@@ -1,7 +1,9 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
+from gltlab import centralizer
 from gltlab.centralizer import (BlockConvention, a0_monomials,
                                 filtered_basis, homomorphism_check,
                                 injectivity_check, injectivity_rank,
@@ -9,7 +11,8 @@ from gltlab.centralizer import (BlockConvention, a0_monomials,
                                 membership_check, phi, psi, zed,
                                 zed_central_check, zed_commutes_psi_check,
                                 zed2_linear_coefficient)
-from gltlab.ugl import UElement, gelfand, straighten
+from gltlab.lincomb import derivation
+from gltlab.ugl import UElement, ad, gelfand, straighten, straighten_word
 from gltlab.yangian import MatrixSeries
 
 
@@ -85,6 +88,34 @@ class TestZed:
         conv = BlockConvention(1, 2)
         assert zed_central_check(conv, 3)["pass"]
         assert zed_commutes_psi_check(conv, 3, 3)["pass"]
+
+    @pytest.mark.parametrize("n, N", [(1, 2), (2, 3)])
+    def test_planted_noncentral_zed_fails(self, monkeypatch, n, N):
+        # zed(2) + E_{1,M} is not central, and [E_{1,M}, E_11] = -E_{1,M}
+        # keeps it from commuting with psi(t^{(1)}_{11}) = E_11.
+        honest = centralizer.zed
+
+        def planted(k, conv):
+            z = honest(k, conv)
+            return z + UElement.gen(conv.M, 1, conv.M) if k == 2 else z
+
+        monkeypatch.setattr(centralizer, "zed", planted)
+        conv = BlockConvention(n, N)
+        assert not zed_central_check(conv, 3)["pass"]
+        report = zed_commutes_psi_check(conv, 3, 3)
+        assert not report["pass"]
+        # Leibniz over the letters of zed(k) for every letter of psi.
+        want = []
+        for k in range(1, 4):
+            z = planted(k, conv).terms
+            bracket = functools.cache(functools.partial(ad, z))
+            for r in range(1, 4):
+                for i in conv.small_block:
+                    for j in conv.small_block:
+                        if derivation(psi(conv, r, i, j).terms, bracket,
+                                      straighten_word):
+                            want.append([k, r, i, j])
+        assert report["got"] == want
 
 
 class TestPhi:

@@ -51,6 +51,18 @@ class TestExitCodes:
         assert proc.returncode == 2 and "prime" in proc.stderr
         assert not proc.stdout
 
+    def test_unwritable_out_is_two_before_any_suite(self, tmp_path,
+                                                      capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli.SUITE_FNS, "ugl",
+                            lambda cfg: ran.append(cfg) or [])
+        path = tmp_path / "no such dir" / "r.json"
+        code, out, err = run(["ugl", "--out", str(path)], capsys)
+        assert code == 2 and err.startswith("error: ") and not out
+        assert "Traceback" not in err and not ran
+        code, _, _ = run(["ugl", "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 0 and ran
+
     @pytest.mark.parametrize("suite", ["yangian", "all"])
     def test_yangian_over_qt_is_two(self, suite, capsys):
         # Qt is no --field choice: argparse's usage error.

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from gltlab.ugl import (UElement, centralizer_membership, filtration_basis,
-                        gelfand, lie_generators, straighten,
-                        straighten_word)
+from gltlab.lincomb import axpy
+from gltlab.ugl import (UElement, ad, ad_table, centralizer_membership,
+                        filtration_basis, gelfand, lie_generators,
+                        straighten, straighten_word)
 
 
 class TestStraightening:
@@ -124,6 +125,40 @@ class TestCentralizerMembership:
                 brute = all(x.commutator(UElement.gen(4, a, b)).is_zero()
                             for a in block for b in block)
                 assert centralizer_membership(x, block) == brute
+
+
+class TestAdTable:
+    """ad_table builds [x, E_g] for all of gl of a block from the Lie
+    generators by Jacobi; ad straightens each one by Leibniz over x."""
+
+    CASES = ([(M, list(range(1, M + 1))) for M in range(1, 6)]
+             + [(4, [2, 3, 4])])
+
+    @staticmethod
+    def elements(M: int) -> list[dict]:
+        rng = random.Random(M)
+        xs = [{}, {(): 1}, gelfand(2, M).terms]
+        for _ in range(3):
+            x: dict = {}
+            for _ in range(rng.randint(1, 4)):
+                w = tuple((rng.randint(1, M), rng.randint(1, M))
+                          for _ in range(rng.randint(1, 4)))
+                axpy(x, rng.choice([-3, -2, -1, 1, 2, 3]), straighten_word(w))
+            xs.append(x)
+        return xs
+
+    @pytest.mark.parametrize(
+        "M, block", CASES,
+        ids=[f"M{M}-block{''.join(map(str, b))}" for M, b in CASES])
+    def test_matches_leibniz_route(self, M, block):
+        noncentral = 0
+        for x in self.elements(M):
+            table = ad_table(x, block)
+            assert set(table) == set(itertools.product(block, repeat=2))
+            for g, got in table.items():
+                assert got == ad(x, g)
+            noncentral += any(table.values())
+        assert noncentral >= (2 if M > 1 else 0)
 
 
 class TestText:
