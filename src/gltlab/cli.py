@@ -39,17 +39,16 @@ class RunConfig:
             raise ValueError("n, N, m and pairs must be positive")
         if self.field_name not in ("Q", "GF"):
             raise ValueError(f"unknown field {self.field_name!r}")
-        if self.field_name == "GF":
-            check_prime(self.prime)
-            if suite != "yangian":
-                raise ValueError(f"--field is for yangian only, not {suite}")
+        check_prime(self.prime)
+        if self.field_name == "GF" and suite != "yangian":
+            raise ValueError(f"--field is for yangian only, not {suite}")
 
 
 class ResourceGuard(Exception):
     """Configuration exceeds the precomputed cost caps."""
 
 
-def guard(cfg: RunConfig, suite: str):
+def guard(cfg: RunConfig):
     """Reject configurations whose exact-arithmetic cost explodes."""
     # Cost drivers: relation-table words grow like (n^2 m)!-ish in the
     # straightening, invariant ranks like (N+n)^(2m) monomials.
@@ -186,10 +185,8 @@ SUITE_FNS = {
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:
-    cfg.validate(name)
+    """Run a validated, guarded config (see `main`)."""
     names = list(SUITE_FNS) if name == "all" else [name]
-    for sub in names:
-        guard(cfg, sub)
     checks = []
     for sub in names:
         for c in SUITE_FNS[sub](cfg):
@@ -283,16 +280,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         cfg.validate(args.suite)
+        guard(cfg)
         if cfg.out:  # an unwritable --out fails here, before any suite runs
             open(cfg.out, "a").close()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_suite(args.suite, cfg)
     except ResourceGuard as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = run_suite(args.suite, cfg)
     sys.stdout.write(emit_report(report, cfg.out))
     return 0 if report["summary"]["pass"] else 1
 

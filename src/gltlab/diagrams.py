@@ -2,8 +2,12 @@
 
 Objects are words in the letters V, V*; morphisms are Q[t]-linear
 combinations of wall-respecting perfect matchings on the legs of the two
-words.  Composition stacks diagrams, traces the resulting paths, and
-multiplies by t for every closed loop.
+words.  Composition stacks diagrams and multiplies by t for every closed
+loop.  All loops are counted one way (`_loops`): as the cycles that
+alternate an edge of one matching with an edge of another on a common set
+of legs.  Composition walks each open end through the middle row first and
+counts the middle legs left over; the trace closure pairs a diagram with
+the matching i <-> n+i; the Gram pairing pairs two diagrams directly.
 
 Leg indexing convention: legs are numbered globally left-to-right, the
 source row first (0..s-1) and the target row after it (s..s+t-1).  Edges
@@ -147,86 +151,58 @@ def hom_dim(source: Word, target: Word) -> int:
     return sum(1 for _ in iter_diagrams(source, target))
 
 
-def _compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram):
-    """Stack d2 below d1's target; return (new pairs, #closed loops)."""
-    a = len(d1.source)
-    b = len(d1.target)
-    c = len(d2.target)
-    m1 = {}
-    for p, q in d1.pairs:
-        m1[p] = q
-        m1[q] = p
-    m2 = {}
-    for p, q in d2.pairs:
-        m2[p] = q
-        m2[q] = p
+def _partners(pairs) -> dict[int, int]:
+    """Map each leg to the leg it is paired with."""
+    out = {}
+    for a, b in pairs:
+        out[a] = b
+        out[b] = a
+    return out
 
-    # Endpoint ids in the composite: 0..a-1 = source, a..a+c-1 = target.
-    new_pairs = []
-    seen_end = set()
-    seen_mid = [False] * b
 
-    def step_from_f(leg):
-        # Follow d1's edge from a d1-leg; return ('A', i) or ('M', mid).
-        q = m1[leg]
-        return ("A", q) if q < a else ("M", q - a)
-
-    def step_from_g(mid):
-        q = m2[mid]
-        return ("M", q) if q < b else ("C", q - b)
-
-    def endpoint_id(kind, idx):
-        return idx if kind == "A" else a + idx
-
-    def trace(kind, idx):
-        # Walk from an open endpoint to the opposite open endpoint.
-        if kind == "A":
-            nk, ni = step_from_f(idx)
-            in_f = True
-        else:  # start from a 'C' endpoint through d2
-            q = m2[b + idx]
-            if q >= b:
-                return ("C", q - b)
-            nk, ni = ("M", q)
-            in_f = False
-        while nk == "M":
-            seen_mid[ni] = True
-            if in_f:
-                nk, ni = step_from_g(ni)
-                in_f = False
-            else:
-                nk, ni = step_from_f(a + ni)
-                in_f = True
-        return (nk, ni)
-
-    for kind, rng in (("A", range(a)), ("C", range(c))):
-        for i in rng:
-            e0 = endpoint_id(kind, i)
-            if e0 in seen_end:
-                continue
-            ek, ei = trace(kind, i)
-            e1 = endpoint_id(ek, ei)
-            seen_end.add(e0)
-            seen_end.add(e1)
-            new_pairs.append((e0, e1))
-
+def _loops(up: dict, down: dict, legs) -> int:
+    """Closed cycles among `legs` that alternate an `up` edge with a `down`
+    edge; both matchings must pair every one of `legs` within `legs`."""
+    seen = set()
     loops = 0
-    for mstart in range(b):
-        if seen_mid[mstart]:
+    for leg in legs:
+        if leg in seen:
             continue
         loops += 1
-        mk, mi = ("M", mstart)
-        in_f = True
+        while leg not in seen:
+            seen.add(leg)
+            leg = up[leg]
+            seen.add(leg)
+            leg = down[leg]
+    return loops
+
+
+def _compose_diagrams(d1: BrauerDiagram, d2: BrauerDiagram):
+    """Stack d2 below d1's target; return (new pairs, #closed loops).
+
+    Legs are numbered as in d1 (source 0..a-1, middle row a..a+b-1) and
+    d2's are shifted by a, so its target row is a+b..a+b+c-1.  Each open
+    end is walked, alternating d1 and d2 edges, through the middle row to
+    the open end it joins; the middle legs left over form closed loops.
+    """
+    a, b = len(d1.source), len(d1.target)
+    up = _partners(d1.pairs)
+    down = _partners((p + a, q + a) for p, q in d2.pairs)
+    seen = set()
+    pairs = []
+    for end in [*range(a), *range(a + b, a + b + len(d2.target))]:
+        if end in seen:
+            continue
+        leg, edges = end, up if end < a else down
         while True:
-            seen_mid[mi] = True
-            if in_f:
-                mk, mi = step_from_g(mi)
-            else:
-                mk, mi = step_from_f(a + mi)
-            in_f = not in_f
-            if mi == mstart and mk == "M" and in_f:
+            leg = edges[leg]
+            seen.add(leg)
+            if not a <= leg < a + b:
                 break
-    return tuple(new_pairs), loops
+            edges = down if edges is up else up
+        pairs.append((end if end < a else end - b, leg if leg < a else leg - b))
+    rest = [m for m in range(a, a + b) if m not in seen]
+    return tuple(pairs), _loops(up, down, rest)
 
 
 class Morphism:
@@ -393,44 +369,24 @@ def close_trace(m: Morphism) -> Poly:
     if m.source != m.target:
         raise ValueError("trace closure needs an endomorphism")
     n = len(m.source)
+    closing = _partners((i, n + i) for i in range(n))
     total = Poly()
     for d, c in m.terms.items():
-        parent = list(range(2 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for a, b in d.pairs:
-            union(a, b)
-        for i in range(n):
-            union(i, n + i)
-        comps = len({find(i) for i in range(2 * n)}) if n else 0
-        total = total + c * T_POLY ** comps
+        total = total + c * T_POLY ** _loops(_partners(d.pairs), closing,
+                                             range(2 * n))
     return total
 
 
-def loop_count_pathtrace(d: BrauerDiagram) -> int:
-    """Independent loop counter: compose d with its mirror, count loops."""
-    _, loops = _compose_diagrams(d, dagger(d))
-    return loops
-
-
 def gram_matrix(sig: Word):
-    """Pairing matrix <d_i, d_j> = trace closure of d_i o dagger(d_j)."""
+    """Pairing matrix <d_i, d_j> = trace closure of d_i o dagger(d_j).
+
+    The closure glues each leg of d_i to the same leg of d_j, so the entry
+    is t to the number of cycles of the two matchings on the 2n legs."""
     diagrams = list(iter_diagrams(sig, sig))
-    mat = []
-    for di in diagrams:
-        row = []
-        for dj in diagrams:
-            closed = compose(Morphism.single(di), Morphism.single(dagger(dj)))
-            row.append(close_trace(closed))
-        mat.append(row)
+    partners = [_partners(d.pairs) for d in diagrams]
+    legs = range(2 * len(sig))
+    mat = [[T_POLY ** _loops(pi, pj, legs) for pj in partners]
+           for pi in partners]
     return diagrams, mat
 
 

@@ -98,6 +98,19 @@ class TestExitCodes:
         code, _, err = run(["all", "--n", "3", "--m", "9"], capsys)
         assert code == 3 and "resource guard" in err
 
+    def test_guard_runs_before_out_is_created(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, out, err = run(["centralizer", "--n", "3", "--out", str(path)],
+                             capsys)
+        assert code == 3 and "resource guard" in err and not out
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suite", ["yangian", "ugl"])
+    def test_non_prime_is_two_whatever_the_field(self, suite, capsys):
+        code, out, err = run([suite, "--prime", "4"], capsys)
+        assert code == 2 and err.startswith("error: ") and "prime" in err
+        assert not out
+
 
 class TestConfig:
     def test_file_plus_flag_override(self, tmp_path, capsys):
@@ -159,6 +172,20 @@ class TestReports:
 
 
 class TestGolden:
+    @pytest.mark.parametrize("hashseed", ["1", "2"])
+    @pytest.mark.parametrize("argv", [["all", "--seed", "0"], ["brauer"]],
+                             ids=["all", "brauer"])
+    def test_report_ignores_hash_seed(self, argv, hashseed):
+        # The benchmark runs `verify` with a random PYTHONHASHSEED; set and
+        # dict iteration must not reach the report bytes.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONHASHSEED=hashseed)
+        proc = subprocess.run([sys.executable, "-m", "gltlab.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        golden = ROOT / "reports" / f"golden_{argv[0]}.json"
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == golden.read_bytes()
+
     @pytest.mark.parametrize("suite", ["brauer", "all"])
     def test_matches_stored_report(self, suite, tmp_path, capsys):
         golden = ROOT / "reports" / f"golden_{suite}.json"

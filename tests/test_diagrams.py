@@ -7,8 +7,8 @@ import pytest
 from gltlab.diagrams import (GL_WORD, V, VDUAL, BrauerDiagram, Morphism,
                              bracket, close_trace, coev, compose, crossing,
                              dagger, dual_word, ev, gram_rank, hom_dim,
-                             identity, iter_diagrams, lie_structure_check,
-                             loop_count_pathtrace, multiplication, permute,
+                             gram_matrix, identity, iter_diagrams,
+                             lie_structure_check, multiplication, permute,
                              rtt_degree1_check, tensor, word, word_text)
 from gltlab.field import T_POLY
 from gltlab.tensor_eval import faithfulness_rank
@@ -100,12 +100,27 @@ class TestComposition:
     def test_trace_of_identity(self):
         assert close_trace(identity(sig(1, 1))) == T_POLY ** 2
 
-    def test_loop_counters_agree(self):
-        for d in iter_diagrams(sig(2, 2), sig(2, 2)):
-            mirrored = compose(Morphism.single(d), Morphism.single(dagger(d)))
-            (only,) = mirrored.terms
-            scalar = mirrored.terms[only]
-            assert scalar == T_POLY ** loop_count_pathtrace(d)
+
+class TestGramEntries:
+    """gram_matrix counts cycles of two matchings directly; the same number
+    comes from composing with the mirror image and closing the trace."""
+
+    WORDS = [sig(1, 1), sig(2, 1), sig(2, 2), word("VV*V*V")]
+
+    @pytest.mark.parametrize("w", WORDS, ids=word_text)
+    def test_entry_is_closed_composite(self, w):
+        diagrams, mat = gram_matrix(w)
+        for di, row in zip(diagrams, mat):
+            for dj, entry in zip(diagrams, row):
+                closed = compose(Morphism.single(di),
+                                 Morphism.single(dagger(dj)))
+                assert entry == close_trace(closed)
+
+    @pytest.mark.parametrize("w", WORDS, ids=word_text)
+    def test_diagonal_is_t_to_the_length(self, w):
+        # A matching drawn on itself closes one loop per pair.
+        _, mat = gram_matrix(w)
+        assert all(mat[i][i] == T_POLY ** len(w) for i in range(len(mat)))
 
 
 class TestGram:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gltlab.diagrams import (V, VDUAL, BrauerDiagram, Morphism, compose, coev,
-                             ev, identity, tensor)
+                             ev, identity, iter_diagrams, tensor)
 from gltlab.tensor_eval import (MAX_LEGS, faithfulness_rank,
                                 functoriality_check, functoriality_suite,
                                 random_composable_pair, realize,
@@ -53,6 +54,24 @@ class TestFunctoriality:
         g = tensor(identity((V,)), ev(VDUAL))
         for n in (1, 2, 3):
             assert functoriality_check(f, g, n)
+
+    def test_every_single_diagram_pair(self):
+        # At N = 3 the realization is faithful on words of at most 3
+        # letters and 2^loops != 3^loops, so a wrong matching or a wrong
+        # loop count in compose changes the realized matrix.
+        words = [w for k in range(4)
+                 for w in itertools.product((V, VDUAL), repeat=k)]
+        homs = {(a, b): [Morphism.single(d) for d in iter_diagrams(a, b)]
+                for a in words for b in words}
+        pairs = 0
+        for (a, b), fs in homs.items():
+            for c in words:
+                for f in fs:
+                    for g in homs[(b, c)]:
+                        assert realize(compose(f, g), 3) == \
+                            realize(g, 3).matmul(realize(f, 3))
+                        pairs += 1
+        assert pairs == 2637
 
     def test_pair_generator_shapes(self):
         rng = random.Random(0)
